@@ -32,8 +32,8 @@ from scipy.integrate import quad
 
 from . import expsum, factor
 
-C_THETA = 2.0 * math.pi / math.sqrt(3.0)  # the Gaussian decay constant
-KAPPA = 2.0 * math.pi / math.sqrt(3.0)  # average of r_Q, same constant
+# the Gaussian decay constant of theta, and also the average of r_Q
+C_THETA = 2.0 * math.pi / math.sqrt(3.0)
 
 
 def _check_finite(s: complex) -> complex:
@@ -105,39 +105,39 @@ def _theta_radius(t: float, a: int, tol: float) -> int:
             raise RuntimeError("theta truncation radius exceeds 1e6 shells")
 
 
-def theta(t: float, a: int, tol: float = 1e-12) -> float:
-    """Truncated lattice sum for theta(t, a); the result is real.
+def _sector_theta(t: float, a: int, R: int, signed: bool = True) -> float:
+    """theta(t, a) cut at norm R, from the fundamental sector.
 
-    Terms are evaluated in polar form exp(3a log n - ct n) cos(6a arg mu)
-    so the n^{3a} growth never overflows, and summed in a fixed
-    (norm, angle) order for reproducibility.
+    mu^{6a} is the same on all six associates (w^{6a} = 1), so the sum
+    is 6 times the sector sum, plus the mu = 0 term 1 when a = 0.  Terms
+    are evaluated in polar form exp(3a log n - ct n) cos(6a arg mu), so
+    the n^{3a} growth never overflows, and summed in the fixed (norm,
+    angle) order for reproducibility.  With signed=False the cosines are
+    dropped, which bounds |theta|.
     """
+    norms, angs = factor.lattice_norms_angles(R)
+    terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t * norms)
+    if a == 0:
+        return 1.0 + 6.0 * float(np.add.reduce(terms))
+    if signed:
+        terms = terms * np.cos(6.0 * a * angs)
+    return 6.0 * float(np.add.reduce(terms))
+
+
+def theta(t: float, a: int, tol: float = 1e-12) -> float:
+    """Truncated lattice sum for theta(t, a); the result is real."""
     if not math.isfinite(t) or t <= 0:
         raise ValueError("finite t > 0 required")
     if a < 0:
         raise ValueError("a >= 0 required")
     if tol <= 0:
         raise ValueError("tol > 0 required")
-    R = _theta_radius(t, a, tol)
-    norms, angs = factor.lattice_norms_angles(R)
-    ct = C_THETA * t
-    if a == 0:
-        val = 1.0 + float(np.add.reduce(np.exp(-ct * norms)))
-    else:
-        weights = np.exp(3.0 * a * np.log(norms) - ct * norms)
-        val = float(np.add.reduce(weights * np.cos(6.0 * a * angs)))
-    return val
+    return _sector_theta(t, a, _theta_radius(t, a, tol))
 
 
 def _theta_abs_bound(a: int, tol: float) -> float:
     """K with |theta(v, a)| <= K e^{-cv} for all v >= 1."""
-    R = _theta_radius(1.0, a, tol)
-    norms, _ = factor.lattice_norms_angles(R)
-    if a == 0:
-        s = 1.0 + float(np.sum(np.exp(-C_THETA * norms)))
-    else:
-        s = float(np.sum(np.exp(3.0 * a * np.log(norms) - C_THETA * norms)))
-    return math.exp(C_THETA) * s
+    return math.exp(C_THETA) * _sector_theta(1.0, a, _theta_radius(1.0, a, tol), signed=False)
 
 
 def theta_transform_residual(t: float, a: int, tol: float = 1e-12) -> float:
@@ -156,8 +156,8 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
 
     The lattice sum is cut at norm R; the omitted tail is corrected by
     partial summation, -A(R) R^{-s} plus (for a = 0, where the
-    coefficient sum has the Gauss-circle main term kappa*x) the term
-    kappa s R^{1-s}/(s-1).  What remains is controlled by the
+    coefficient sum has the Gauss-circle main term C_THETA*x) the term
+    C_THETA s R^{1-s}/(s-1).  What remains is controlled by the
     fluctuation of the coefficient sum, reported as the error estimate
     with empirical constants (x^{1/3} fluctuation for a = 0, x^{1/2}
     for a != 0).
@@ -186,7 +186,7 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
     A_R = complex(np.sum(s_re[mask]), np.sum(s_im[mask]))
     total -= A_R * R ** complex(-s) / 6.0
     if aa == 0:
-        total += KAPPA * s * R ** (1.0 - s) / (s - 1.0) / 6.0
+        total += C_THETA * s * R ** (1.0 - s) / (s - 1.0) / 6.0
     err = growth * R ** (beta - sigma)
     return total, float(err)
 

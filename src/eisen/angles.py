@@ -27,7 +27,7 @@ from scipy import stats
 
 from . import factor
 from .analytic import li
-from .factor import CirclePointSet, circle_points, primes_up_to, r_q
+from .factor import CirclePointSet, circle_points, primes_up_to
 
 PI_6 = math.pi / 6.0
 
@@ -183,7 +183,8 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
             bound *= 10
         n = math.prod(primes)
     pts = circle_points(n)
-    assert pts.count == 6 * (1 << m) == r_q(n)
+    if pts.count != 6 << m:
+        raise RuntimeError(f"{pts.count} points on |mu|^2 = {n}, expected {6 << m}")
     for z in pts.points:
         off = abs(math.remainder(z.arg(), math.pi / 3.0))
         if off > epsilon + 1e-9:

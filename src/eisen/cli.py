@@ -52,6 +52,7 @@ class _Output:
 
 
 def _threads(args) -> int:
+    """--threads, else EISEN_THREADS, else 1; validated but changes nothing."""
     if args.threads is not None:
         if args.threads < 1:
             raise ValueError("--threads must be >= 1")
@@ -121,6 +122,8 @@ def _cmd_avg_expsum(args, out: _Output) -> None:
 def _cmd_sector(args, out: _Output) -> None:
     q = angles.SectorQuery(args.x, args.phi1, args.phi2)
     observed, expected = angles.sector_count(q)
+    if expected == 0.0:
+        raise ValueError(f"expected count is 0 at x = {args.x} (Li(2) = 0), so the ratio is undefined")
     out.emit(
         {"x": args.x, "phi1": args.phi1, "phi2": args.phi2},
         {

@@ -139,7 +139,7 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, int]:
     """The unique associate x' = w^k * x with arg(x') in [-pi/6, pi/6).
 
     Returns (x', k).  Exactly one of the six associates qualifies; this
-    is asserted rather than assumed.
+    is checked rather than assumed.
     """
     if x.is_zero():
         raise ValueError("zero has no canonical associate")
@@ -147,8 +147,10 @@ def canonical_associate(x: EisensteinInt) -> tuple[EisensteinInt, int]:
     y = x
     for k in range(6):
         if in_fundamental_sector(y):
-            assert found is None, f"two associates of {x} in sector"
+            if found is not None:
+                raise RuntimeError(f"two associates of {x} in sector")
             found = (y, k)
         y = y.rotate60()
-    assert found is not None, f"no associate of {x} in sector"
+    if found is None:
+        raise RuntimeError(f"no associate of {x} in sector")
     return found

@@ -22,7 +22,6 @@ have a limit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,45 +42,40 @@ class DiscrepancyResult:
     witness: tuple[float, float]  # arc endpoints attaining the sup (may degenerate)
 
 
-def _delta_from_angles(phis: np.ndarray) -> tuple[float, float, float]:
-    """(delta, t_lo, t_hi) for angles reduced mod 2 pi.
+def _g_limits(turns: np.ndarray, rank: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left limits of G at its jumps.
 
-    t_hi locates the supremum of G (right limits), t_lo the infimum
-    (left limits); 0.0 stands in when the boundary value G(0) = 0 wins.
+    turns are the jump locations in units of a full turn, sorted within
+    each circle; rank is each point's 1-based position on its circle and
+    total that circle's point count N.
     """
-    n = phis.size
-    if n == 0:
-        raise ValueError("empty angle set")
-    u, counts = np.unique(np.mod(phis, TWO_PI), return_counts=True)
-    cum = np.cumsum(counts)
-    drift = u / TWO_PI
-    g_right = cum / n - drift
-    g_left = (cum - counts) / n - drift
-    i_hi = int(np.argmax(g_right))
-    i_lo = int(np.argmin(g_left))
-    sup_g = max(0.0, float(g_right[i_hi]))
-    inf_g = min(0.0, float(g_left[i_lo]))
-    t_hi = float(u[i_hi]) if g_right[i_hi] > 0.0 else 0.0
-    t_lo = float(u[i_lo]) if g_left[i_lo] < 0.0 else 0.0
-    return sup_g - inf_g, t_lo, t_hi
+    return rank / total - turns, (rank - 1) / total - turns
 
 
 def discrepancy_exact(n: int) -> DiscrepancyResult:
     """Exact Delta(n) over all arcs, with a witness arc.
 
     The witness (alpha, beta) is the pair of extremal jump locations:
-    arcs just past alpha and through beta realize the sup in the limit.
-    For a single orbit (N = 6) every gap is equal and the witness
-    degenerates to a point; that matches Delta(1) = 1/6 attained by
-    arbitrarily short arcs around one point.
+    arcs just past alpha and through beta realize the sup in the limit;
+    0.0 stands in when the boundary value G(0) = 0 wins.  For a single
+    orbit (N = 6) every gap is equal and the witness degenerates to a
+    point; that matches Delta(1) = 1/6 attained by arbitrarily short
+    arcs around one point.
     """
     pts = factor.circle_points(n)
     if pts.count == 0:
         raise ValueError(f"no lattice points on |mu|^2 = {n}")
-    phis = np.array([z.arg() for z in pts.points], dtype=np.float64)
-    delta, t_lo, t_hi = _delta_from_angles(phis)
+    # distinct points on one circle have distinct angles
+    u = np.sort(np.mod(np.array([z.arg() for z in pts.points], dtype=np.float64), TWO_PI))
+    g_right, g_left = _g_limits(u / TWO_PI, np.arange(1, u.size + 1), u.size)
+    i_hi = int(np.argmax(g_right))
+    i_lo = int(np.argmin(g_left))
+    sup_g = max(0.0, float(g_right[i_hi]))
+    inf_g = min(0.0, float(g_left[i_lo]))
+    t_hi = float(u[i_hi]) if g_right[i_hi] > 0.0 else 0.0
+    t_lo = float(u[i_lo]) if g_left[i_lo] < 0.0 else 0.0
     witness = (t_lo, t_hi) if t_lo <= t_hi else (t_hi, t_lo)
-    return DiscrepancyResult(n=n, count=pts.count, delta=float(delta), witness=witness)
+    return DiscrepancyResult(n=n, count=pts.count, delta=float(sup_g - inf_g), witness=witness)
 
 
 def discrepancy_random_lower_bound(n: int, arcs: int = 10000, seed: int = 0) -> float:
@@ -171,29 +165,21 @@ class SurveyReport:
     fraction: float
 
 
-def _survey_block(norms: np.ndarray, angs: np.ndarray, starts: np.ndarray,
-                  ends: np.ndarray, gamma: float) -> int:
-    exceeding = 0
-    for s, e in zip(starts, ends):
-        group = np.sort(np.mod(angs[s:e], TWO_PI))
-        m = e - s
-        # distinct points on one circle have distinct angles
-        pos = np.arange(1, m + 1, dtype=np.float64)
-        drift = group / TWO_PI
-        sup_g = max(0.0, float(np.max(pos / m - drift)))
-        inf_g = min(0.0, float(np.min((pos - 1.0) / m - drift)))
-        if sup_g - inf_g > m ** (-gamma):
-            exceeding += 1
-    return exceeding
-
-
 def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
     """Fraction of populated circles up to x with Delta(n) > r_Q(n)^{-gamma}.
 
-    Enumerates every lattice point of norm <= x once, groups by norm,
-    and runs the exact sweep per circle.  Requires gamma strictly below
-    GAMMA_MAX = log(pi)/log(2) - 1, the threshold above which the
-    comparison becomes vacuous for the typical circle.
+    A circle's point set is six rotated copies of its m = N/6 points in
+    the fundamental sector [-pi/6, pi/6), so G has period pi/3 and Delta
+    is sup - inf of G over one period.  Measured from the -pi/6 ray the
+    jumps of G there are at the sector angles, and the boundary value
+    G(0) = 0 never wins (the first left limit is <= 0, the last right
+    limit is 1/6 - turns > 0).  One vectorized sweep over the norm
+    groups of the sorted sector points gives every circle at once.
+
+    Requires gamma strictly below GAMMA_MAX = log(pi)/log(2) - 1, the
+    threshold above which the comparison becomes vacuous for the typical
+    circle.  `threads` is validated for compatibility and otherwise
+    ignored.
     """
     if not 1 <= x <= 10**6:
         raise ValueError("x must lie in [1, 1e6]")
@@ -202,24 +188,17 @@ def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
     if threads < 1:
         raise ValueError("threads >= 1")
     norms, angs = factor.lattice_norms_angles(x)
-    uniq, starts = np.unique(norms, return_index=True)
-    ends = np.append(starts[1:], norms.size)
-    populated = uniq.size
-    if threads == 1 or populated < 4 * threads:
-        exceeding = _survey_block(norms, angs, starts, ends, gamma)
-    else:
-        bounds = np.linspace(0, populated, threads + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [
-                pool.submit(_survey_block, norms, angs, starts[lo:hi], ends[lo:hi], gamma)
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
-            exceeding = sum(f.result() for f in futs)
+    _, starts, m = np.unique(norms, return_index=True, return_counts=True)
+    rank = np.arange(1, norms.size + 1) - np.repeat(starts, m)
+    total = 6 * np.repeat(m, m)
+    g_right, g_left = _g_limits((angs + math.pi / 6.0) / TWO_PI, rank, total)
+    delta = np.maximum.reduceat(g_right, starts) - np.minimum.reduceat(g_left, starts)
+    populated = starts.size
+    exceeding = int(np.count_nonzero(delta > (6.0 * m) ** (-gamma)))
     return SurveyReport(
         x=x,
         gamma=gamma,
         b_q=int(populated),
-        m_gamma=int(exceeding),
+        m_gamma=exceeding,
         fraction=exceeding / populated,
     )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,46 +87,24 @@ def f_A(n: int, A: int) -> float:
 
 
 def circle_sums(x: int, A: int, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (S_re, S_im) with S_re[n] + i S_im[n] = S(n, A) for n <= x,
-    accumulated by norm-bucketed counting over all lattice points.
+    """Arrays (S_re, S_im) with S_re[n] + i S_im[n] = S(n, A) for n <= x.
 
-    Chunks are merged in a fixed order, so the result does not depend on
-    the thread count.
+    The six associates of a point add e^{iA(theta + k pi/3)}, which sums
+    to 0 unless 6 | A and to 6 e^{iA theta} if it does; conjugation then
+    makes S real.  So both arrays are exact zeros for 6 not dividing A,
+    and otherwise S_re = 6 * sum over the fundamental sector of cos(A
+    theta), bucketed by norm, and S_im is exactly zero.  `threads` is
+    accepted for compatibility and ignored.
     """
     if x < 1:
         raise ValueError("x >= 1 required")
     out_re = np.zeros(x + 1)
     out_im = np.zeros(x + 1)
-
-    def one(chunk: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        norms, angles = chunk
-        ph = A * angles
-        return (
-            np.bincount(norms, weights=np.cos(ph), minlength=x + 1),
-            np.bincount(norms, weights=np.sin(ph), minlength=x + 1),
-        )
-
-    chunks = factor.iter_lattice_blocks(x)
-    if threads <= 1:
-        for pre, pim in map(one, chunks):
-            out_re += pre
-            out_im += pim
-    else:
-        # submit in waves so at most `threads` dense partials are alive
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = False
-            while not done:
-                wave = []
-                for chunk in chunks:
-                    wave.append(pool.submit(one, chunk))
-                    if len(wave) == threads:
-                        break
-                else:
-                    done = True
-                for fut in wave:
-                    pre, pim = fut.result()
-                    out_re += pre
-                    out_im += pim
+    if A % 6 != 0:
+        return out_re, out_im
+    for a, b, n in factor.iter_lattice_blocks(x):
+        out_re += np.bincount(n, weights=np.cos(A * factor.sector_angles(a, b)), minlength=x + 1)
+    out_re *= 6.0
     return out_re, out_im
 
 
@@ -151,7 +128,7 @@ def avg_exp_sum(
     The fitted exponent is the least-squares slope of log(mean) against
     log log x', using only checkpoints >= 10^3 (small x is noise).  When
     6 does not divide A every S(n, A) vanishes identically and the means
-    are exact zeros.
+    are exact zeros.  `threads` is accepted for compatibility and ignored.
     """
     if x < 1 or x > 10**7:
         raise ValueError("x must be in [1, 1e7]")
@@ -167,7 +144,7 @@ def avg_exp_sum(
     if A % 6 != 0:
         means = [(cp, 0.0) for cp in cps]
         return AverageDecayReport(A, tuple(means), float("nan"))
-    s_re, s_im = circle_sums(cps[-1], A, threads=threads)
+    s_re, s_im = circle_sums(cps[-1], A)
     abs_s = np.hypot(s_re, s_im)
     means = _checkpoint_means(abs_s, cps)
     pts = [(math.log(math.log(cp)), math.log(m)) for cp, m in means if cp >= 1000 and m > 0]

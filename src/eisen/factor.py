@@ -68,33 +68,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def primes_up_to(x: int) -> np.ndarray:
-    """Array of primes <= x by a plain sieve of Eratosthenes."""
-    if x < 2:
-        return np.empty(0, dtype=np.int64)
+def _sieve(x: int) -> np.ndarray:
+    """Boolean primality table 0..x by a plain sieve of Eratosthenes.
+
+    Not cached: the table is x + 1 bytes, and a large census should not
+    keep it alive.
+    """
     sieve = np.ones(x + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(x) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.nonzero(sieve)[0].astype(np.int64)
+    return sieve
 
 
-_prime_table_cache: dict[str, np.ndarray] = {}
-
-
-def _prime_table(x: int) -> np.ndarray:
-    """Boolean primality table 0..x, cached at the largest size seen."""
-    tbl = _prime_table_cache.get("tbl")
-    if tbl is None or len(tbl) <= x:
-        sieve = np.ones(x + 1, dtype=bool)
-        sieve[:2] = False
-        for p in range(2, math.isqrt(x) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = False
-        _prime_table_cache["tbl"] = sieve
-        tbl = sieve
-    return tbl
+def primes_up_to(x: int) -> np.ndarray:
+    """Array of primes <= x."""
+    if x < 2:
+        return np.empty(0, dtype=np.int64)
+    return np.nonzero(_sieve(x))[0].astype(np.int64)
 
 
 _SMALL_PRIMES = [int(p) for p in primes_up_to(1 << 16)]
@@ -268,7 +260,8 @@ def split_prime_generator(p: int) -> PrimeSplitRecord:
     if z.b < 0:
         z = eis_conj(z)
         z, _ = canonical_associate(z)
-    assert z.b > 0 and z.norm() == p
+    if not (z.b > 0 and z.norm() == p):
+        raise RuntimeError(f"generator {z} of {p} is not in the open sector (0, pi/6)")
     theta = z.arg()
     rec = PrimeSplitRecord(p, PrimeClass.SPLIT, z, theta, theta)
     _split_record_cache[p] = rec
@@ -302,7 +295,8 @@ class EisFactorization:
     def recompose(self) -> EisensteinInt:
         z = UNITS[self.unit_power] * PI3**self.alpha3
         for rec, e1, e2 in self.split_factors:
-            assert rec.pi is not None
+            if rec.pi is None:
+                raise RuntimeError(f"split prime {rec.p} has no generator")
             z = z * rec.pi**e1 * eis_conj(rec.pi) ** e2
         for q, e in self.inert_factors:
             z = z * EisensteinInt(q, 0) ** e
@@ -329,7 +323,8 @@ def factor_eisenstein(n: int) -> EisFactorization:
         else:
             inert.append((p, e))
     fac = EisFactorization(n, v3 % 6, 2 * v3, tuple(split), tuple(inert))
-    assert fac.recompose() == EisensteinInt(n, 0), f"recomposition failed for {n}"
+    if fac.recompose() != EisensteinInt(n, 0):
+        raise RuntimeError(f"recomposition failed for {n}")
     return fac
 
 
@@ -376,13 +371,16 @@ def circle_points(n: int) -> CirclePointSet:
     rational = factor_int(n)
     base = PI3 ** rational.get(3, 0)
     choices: list[list[EisensteinInt]] = []
+    expected = 6
     for p in sorted(rational):
         e = rational[p]
         if p == 3:
             continue
         if p % 3 == 1:
             pi = split_prime_generator(p).pi
-            assert pi is not None
+            if pi is None:
+                raise RuntimeError(f"split prime {p} has no generator")
+            expected *= e + 1
             choices.append([pi**j * eis_conj(pi) ** (e - j) for j in range(e + 1)])
         else:
             if e % 2 == 1:
@@ -393,7 +391,8 @@ def circle_points(n: int) -> CirclePointSet:
         partials = [z * opt for z in partials for opt in opts]
     pts = {u * z for z in partials for u in UNITS}
     result = _sorted_points(n, pts)
-    assert result.count == r_q(n)
+    if result.count != expected:
+        raise RuntimeError(f"{result.count} points on |mu|^2 = {n}, expected {expected}")
     return result
 
 
@@ -426,57 +425,58 @@ def circle_points_bruteforce(n: int) -> CirclePointSet:
 
 
 # ---------------------------------------------------------------------------
-# bulk lattice enumeration (shared by the statistics modules)
+# fundamental-sector enumeration (shared by the statistics modules)
+
+_BLOCK_POINTS = 1 << 19  # points per block of iter_lattice_blocks
 
 
-def iter_lattice_blocks(
-    x: int, block_points: int = 1 << 19
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (norms, angles) arrays covering every nonzero point with
-    norm <= x, each point exactly once.
+def sector_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angles of the sector points a + b*w, in [-pi/6, pi/6).
 
-    Rows are scanned in increasing a; for fixed a the admissible b form
-    the integer interval [(-a - r)/2, (-a + r)/2] with r = isqrt(4x - 3a^2).
+    arctan2 can land one ulp below -pi/6 on the boundary ray a + 2b = 0,
+    so the result is clamped to the sector.
+    """
+    return np.maximum(np.arctan2(b * (SQRT3 / 2.0), a + b / 2.0), -math.pi / 6.0)
+
+
+def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield int64 arrays (a, b, n) covering the fundamental sector to norm x.
+
+    The sector holds the points a + b*w with a > b, a + 2b >= 0 and
+    0 < n = a^2 + ab + b^2 <= x, i.e. arg in [-pi/6, pi/6).  Every nonzero
+    lattice point has exactly one associate there, so the sector points
+    times the six units give every point of norm <= x exactly once.
+
+    Rows are scanned in increasing b; for fixed b the admissible a form
+    the integer interval [max(b + 1, -2b), (isqrt(4x - 3b^2) - b) // 2].
     """
     if x < 1:
         return
-    amax = math.isqrt(4 * x // 3)
-    buf_n: list[np.ndarray] = []
-    buf_t: list[np.ndarray] = []
+    rows: list[tuple[int, int, int]] = []
     size = 0
-    for a in range(-amax, amax + 1):
-        r = math.isqrt(4 * x - 3 * a * a)
-        lo = -((a + r) // 2)  # ceil((-a - r)/2) in exact integers
-        hi = (r - a) // 2  # floor((-a + r)/2)
-        if hi < lo:
-            continue
-        b = np.arange(lo, hi + 1, dtype=np.int64)
-        n = a * a + a * b + b * b
-        keep = (n > 0) & (n <= x)
-        if not keep.all():
-            b = b[keep]
-            n = n[keep]
-        if len(n) == 0:
-            continue
-        t = np.arctan2(b * (SQRT3 / 2.0), a + b / 2.0)
-        if a < 0:
-            t[t == math.pi] = -math.pi  # match the scalar convention [-pi, pi)
-        buf_n.append(n)
-        buf_t.append(t)
-        size += len(n)
-        if size >= block_points:
-            yield np.concatenate(buf_n), np.concatenate(buf_t)
-            buf_n, buf_t, size = [], [], 0
-    if size:
-        yield np.concatenate(buf_n), np.concatenate(buf_t)
+    bmax = math.isqrt(x // 3)
+    for b in range(-bmax, bmax + 1):
+        lo = max(b + 1, -2 * b)
+        hi = (math.isqrt(4 * x - 3 * b * b) - b) // 2
+        if hi >= lo:
+            rows.append((lo, hi, b))
+            size += hi - lo + 1
+        if rows and (size >= _BLOCK_POINTS or b == bmax):
+            a = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi, _ in rows])
+            bb = np.repeat(np.array([r[2] for r in rows], dtype=np.int64),
+                           [hi - lo + 1 for lo, hi, _ in rows])
+            yield a, bb, a * a + a * bb + bb * bb
+            rows, size = [], 0
 
 
 _lattice_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
 
 def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonzero points of norm <= x as (norms, angles), sorted by
-    (norm, angle).  Materialized and cached; keep x <= ~2e6."""
+    """The fundamental-sector points of norm <= x (see iter_lattice_blocks)
+    as (norms, angles), sorted by (norm, angle); one point per associate
+    class, so circle n holds r_Q(n)/6 of them.  Materialized and cached;
+    keep x <= ~2e6."""
     if x > 4 * 10**6:
         raise ValueError("materialized enumeration capped at 4e6")
     cached = _lattice_cache.get("pts")
@@ -486,11 +486,12 @@ def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
             return cn, ct
         k = np.searchsorted(cn, x, side="right")
         return cn[:k], ct[:k]
-    chunks = list(iter_lattice_blocks(x))
-    if not chunks:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    norms = np.concatenate([c[0] for c in chunks])
-    angles = np.concatenate([c[1] for c in chunks])
+    norms = [np.empty(0, dtype=np.int64)]
+    angles = [np.empty(0)]
+    for a, b, n in iter_lattice_blocks(x):
+        norms.append(n)
+        angles.append(sector_angles(a, b))
+    norms, angles = np.concatenate(norms), np.concatenate(angles)
     order = np.lexsort((angles, norms))
     norms, angles = norms[order], angles[order]
     _lattice_cache["pts"] = (x, norms, angles)
@@ -503,9 +504,10 @@ _split_angle_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (p, theta_p) for every split prime p <= x, sorted by p.
 
-    Enumerates pairs a > b >= 1 whose norm is a prime <= x; each split
-    prime has exactly one such representative, and its angle is the
-    canonical theta_p in (0, pi/6).  Primality is a sieve lookup.
+    Keeps the sector points with b >= 1 (so a > b >= 1) whose norm is a
+    prime; each split prime has exactly one such representative, and its
+    angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
+    lookup.
     """
     if x > 10**8:
         raise ValueError("split prime enumeration capped at 1e8")
@@ -516,31 +518,16 @@ def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
             return cp, ct
         k = np.searchsorted(cp, x, side="right")
         return cp[:k], ct[:k]
-    tbl = _prime_table(x)
-    ps: list[np.ndarray] = []
-    ts: list[np.ndarray] = []
-    amax = math.isqrt(4 * x // 3)
-    for a in range(2, amax + 1):
-        b = np.arange(1, a, dtype=np.int64)
-        n = a * a + a * b + b * b
-        keep = n <= x
-        b, n = b[keep], n[keep]
-        if len(n) == 0:
-            continue
-        pm = tbl[n]
-        if not pm.any():
-            continue
-        b, n = b[pm], n[pm]
-        ps.append(n)
-        ts.append(np.arctan2(b * (SQRT3 / 2.0), a + b / 2.0))
-    if ps:
-        p_all = np.concatenate(ps)
-        t_all = np.concatenate(ts)
-        order = np.argsort(p_all, kind="stable")
-        p_all, t_all = p_all[order], t_all[order]
-    else:
-        p_all = np.empty(0, dtype=np.int64)
-        t_all = np.empty(0)
+    prime = _sieve(x)
+    ps = [np.empty(0, dtype=np.int64)]
+    ts = [np.empty(0)]
+    for a, b, n in iter_lattice_blocks(x):
+        keep = (b >= 1) & prime[n]
+        ps.append(n[keep])
+        ts.append(sector_angles(a[keep], b[keep]))
+    p_all, t_all = np.concatenate(ps), np.concatenate(ts)
+    order = np.argsort(p_all, kind="stable")
+    p_all, t_all = p_all[order], t_all[order]
     if x <= 4 * 10**6:  # keep the cache bounded
         _split_angle_cache["sp"] = (x, p_all, t_all)
     return p_all, t_all

@@ -82,15 +82,13 @@ def test_gamma_poles_rejected():
 
 
 def test_theta_matches_shell_formula():
-    # assemble theta directly from r_Q(n) and the lattice angles
+    # assemble theta shell by shell from the full point sets of each circle
     t = 3.0
     for a in (0, 1, 2):
-        norms, angs = factor.lattice_norms_angles(40)
-        shells = np.exp(-C_THETA * t * norms.astype(float))
-        if a == 0:
-            want = 1.0 + float(np.sum(shells))
-        else:
-            want = float(np.sum(norms.astype(float) ** (3 * a) * shells * np.cos(6 * a * angs)))
+        want = 1.0 if a == 0 else 0.0
+        for n in range(1, 41):
+            angs = np.array([z.arg() for z in factor.circle_points(n).points])
+            want += n ** (3 * a) * math.exp(-C_THETA * t * n) * float(np.sum(np.cos(6 * a * angs)))
         assert theta(t, a) == pytest.approx(want, abs=1e-12)
 
 

@@ -151,6 +151,10 @@ def test_rejected_arguments_exit_2(capsys):
     capsys.readouterr()
     assert run(["theta", "-1.0", "0"]) == 2
     capsys.readouterr()
+    # Li(2) = 0 leaves the observed/expected ratio undefined
+    assert run(["sector", "2", "-0.1", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_bad_usage_exits_2(capsys):

@@ -154,18 +154,17 @@ def test_census_counts():
 
 
 def test_survey_against_direct_count():
-    x, gamma = 20000, 0.65
-    rep = discrepancy_survey(x, gamma)
-    assert rep.b_q == b_q(x)
-    direct = 0
+    x = 20000
     ok = representable_sieve(x)
-    for n in range(1, x + 1):
-        if ok[n]:
-            r = discrepancy_exact(n)
-            if r.delta > r.count ** (-gamma):
-                direct += 1
-    assert rep.m_gamma == direct == 11
-    assert rep.fraction == pytest.approx(direct / rep.b_q)
+    exact = [discrepancy_exact(n) for n in range(1, x + 1) if ok[n]]
+    for gamma in (0.5, 0.6, 0.64, 0.65):
+        rep = discrepancy_survey(x, gamma)
+        assert rep.b_q == b_q(x) == len(exact)
+        direct = sum(1 for r in exact if r.delta > r.count ** (-gamma))
+        assert rep.m_gamma == direct, gamma
+        assert rep.fraction == pytest.approx(direct / rep.b_q)
+        if gamma == 0.65:
+            assert direct == 11
 
 
 def test_survey_thread_determinism():

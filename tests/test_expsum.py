@@ -100,6 +100,16 @@ def test_circle_sums_thread_determinism():
     assert np.array_equal(a_im, b_im)
 
 
+def test_circle_sums_vanish_and_are_real():
+    for A in (1, 5, 7, 9):
+        s_re, s_im = circle_sums(5000, A)
+        assert not s_re.any() and not s_im.any()
+    for A in (0, 6, 12):
+        s_re, s_im = circle_sums(5000, A)
+        assert not s_im.any()
+        assert s_re.any()
+
+
 def test_avg_exp_sum_checkpoints_and_slope():
     rep = avg_exp_sum(10**5, 6, checkpoints=[10**3, 10**4, 10**5])
     means = [m for _, m in rep.checkpoints]

@@ -204,12 +204,13 @@ def test_circle_points_match_bruteforce(n):
 
 def test_lattice_enumeration_against_pointwise():
     norms, angs = lattice_norms_angles(200)
-    # the multiset of norms must reproduce r_q circle by circle
+    # one sector point per associate class: six times the multiset of
+    # norms must reproduce r_q circle by circle
     counts = np.bincount(norms, minlength=201)
     for n in range(1, 201):
-        assert counts[n] == r_q(n), n
+        assert 6 * counts[n] == r_q(n), n
     assert np.all(np.diff(norms) >= 0)
-    assert angs.min() >= -math.pi and angs.max() < math.pi
+    assert angs.min() >= -math.pi / 6 and angs.max() < math.pi / 6
 
 
 def test_lattice_blocks_concatenate_to_full_enumeration():
@@ -219,9 +220,10 @@ def test_lattice_blocks_concatenate_to_full_enumeration():
 
 
 def test_gauss_circle_constant():
-    # point count to norm x grows like (2 pi / sqrt 3) x
+    # point count to norm x grows like (2 pi / sqrt 3) x; the sector holds
+    # one point in six
     x = 200000
-    count = lattice_norms_angles(x)[0].size
+    count = 6 * lattice_norms_angles(x)[0].size
     kappa = 2 * math.pi / math.sqrt(3)
     assert abs(count / (kappa * x) - 1.0) < 0.02
 
