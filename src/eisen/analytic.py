@@ -28,12 +28,15 @@ import cmath
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import expsum, factor
 
 # the Gaussian decay constant of theta, and also the average of r_Q
 C_THETA = 2.0 * math.pi / math.sqrt(3.0)
+_LN2 = math.log(2.0)
+
+# 20-point Gauss-Legendre nodes and weights on [-1, 1], for xi_integral
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 
 
 def _check_finite(s: complex) -> complex:
@@ -44,15 +47,29 @@ def _check_finite(s: complex) -> complex:
 
 
 def li(x: float) -> float:
-    """Li(x) = integral from 2 to x of du / log(u), by adaptive quadrature."""
+    """Li(x) = integral from 2 to x of du / log(u).
+
+    From the series li(x) = Ei(L) = gamma + log L + sum_{n>=1} L^n / (n n!)
+    with L = log x, taken as a difference with l = log 2 so nothing
+    cancels: Li(x) = log1p(d/l) + sum_n c_n / n, where d = log(x/2) and
+    c_n = (L^n - l^n)/n! = (L c_{n-1} + d l^{n-1}/(n-1)!)/n > 0.  Past
+    n = 2L each term is under half the one before, so the sum ends
+    within 2L + 60 terms (under 1,480 for any finite x).
+    """
     if not math.isfinite(x) or x < 2:
         raise ValueError("Li is taken from 2; need finite x >= 2")
     if x == 2:
         return 0.0
-    val, err = quad(lambda u: 1.0 / math.log(u), 2.0, x, epsabs=1e-12, epsrel=1e-12, limit=400)
-    if err > 1e-9 * max(1.0, abs(val)):
-        raise RuntimeError(f"Li quadrature did not converge: err={err:.3g}")
-    return float(val)
+    lx = math.log(x)
+    d = math.log(x / 2.0)
+    total, c, b = 0.0, 0.0, 1.0  # b = l^{n-1}/(n-1)!
+    for n in range(1, int(2 * lx) + 60):
+        c = c * (lx / n) + b * (d / n)  # L c / n first would overflow near x = 1e308
+        b *= _LN2 / n
+        total += c / n
+        if n > lx and c < 1e-17 * n * total:
+            break
+    return math.log1p(d / _LN2) + total
 
 
 # Lanczos approximation, g = 7, 9 coefficients (double precision set)
@@ -91,7 +108,8 @@ def _theta_radius(t: float, a: int, tol: float) -> int:
 
     Shell n holds at most r_Q(n) <= 12n points of weight n^{3a}e^{-ctn},
     and past n0 = 2(3a+1)/(ct) consecutive terms shrink by at least
-    e^{-ct/2}, so the tail is geometrically dominated.
+    e^{-ct/2}, so the tail is geometrically dominated.  A t so small (or
+    tol so tight) that R would pass 1e6 shells is rejected as input.
     """
     ct = C_THETA * t
     n = max(1, int(2 * (3 * a + 1) / ct) + 1)
@@ -102,11 +120,14 @@ def _theta_radius(t: float, a: int, tol: float) -> int:
             return n
         n += 1 + n // 16
         if n > 10**6:
-            raise RuntimeError("theta truncation radius exceeds 1e6 shells")
+            raise ValueError(
+                f"theta at t = {t:g}, a = {a}, tol = {tol:g} needs more than 1e6 shells; use a larger t or tol"
+            )
 
 
-def _sector_theta(t: float, a: int, R: int, signed: bool = True) -> float:
-    """theta(t, a) cut at norm R, from the fundamental sector.
+def _sector_theta(t, a: int, R: int, signed: bool = True):
+    """theta(t, a) cut at norm R, from the fundamental sector, for a float
+    t or elementwise for an array of t.
 
     mu^{6a} is the same on all six associates (w^{6a} = 1), so the sum
     is 6 times the sector sum, plus the mu = 0 term 1 when a = 0.  Terms
@@ -116,12 +137,12 @@ def _sector_theta(t: float, a: int, R: int, signed: bool = True) -> float:
     dropped, which bounds |theta|.
     """
     norms, angs = factor.lattice_norms_angles(R)
-    terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t * norms)
-    if a == 0:
-        return 1.0 + 6.0 * float(np.add.reduce(terms))
-    if signed:
+    t = np.asarray(t, dtype=np.float64)
+    terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t[..., None] * norms)
+    if a != 0 and signed:
         terms = terms * np.cos(6.0 * a * angs)
-    return 6.0 * float(np.add.reduce(terms))
+    total = 6.0 * np.add.reduce(terms, axis=-1)
+    return 1.0 + total if a == 0 else total
 
 
 def theta(t: float, a: int, tol: float = 1e-12) -> float:
@@ -132,12 +153,13 @@ def theta(t: float, a: int, tol: float = 1e-12) -> float:
         raise ValueError("a >= 0 required")
     if tol <= 0:
         raise ValueError("tol > 0 required")
-    return _sector_theta(t, a, _theta_radius(t, a, tol))
+    return float(_sector_theta(t, a, _theta_radius(t, a, tol)))
 
 
-def _theta_abs_bound(a: int, tol: float) -> float:
-    """K with |theta(v, a)| <= K e^{-cv} for all v >= 1."""
-    return math.exp(C_THETA) * _sector_theta(1.0, a, _theta_radius(1.0, a, tol), signed=False)
+def _theta_abs_bound(a: int, R: int) -> float:
+    """K with |theta(v, a)| <= K e^{-cv} for all v >= 1, from the sector
+    cut at norm R = _theta_radius(1, a, tol)."""
+    return math.exp(C_THETA) * float(_sector_theta(1.0, a, R, signed=False))
 
 
 def theta_transform_residual(t: float, a: int, tol: float = 1e-12) -> float:
@@ -201,7 +223,9 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
 
     Valid for any s with |s| <= 50 and 1 <= a <= 8; the integrand decays
     like e^{-cv} so the upper limit is truncated where the bound drops
-    below tol.
+    below tol.  The integral is asked for tol before the (2pi/sqrt3)^{3a}/6
+    scaling; where it cancels to below 1e-13 of the integral of |f|
+    (large |Im s| with large a) the result is only good to that roundoff.
     """
     s = _check_finite(s)
     if not (1 <= a <= 8):
@@ -211,7 +235,8 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
     if tol <= 0:
         raise ValueError("tol > 0 required")
     inner = min(1e-12, tol * 1e-3)
-    K = _theta_abs_bound(a, inner)
+    R = _theta_radius(1.0, a, inner)  # theta(v) for every v >= 1 needs no more
+    K = _theta_abs_bound(a, R)
     m = max(s.real + 3 * a - 1.0, -s.real + 3 * a, 0.0)
     V = max(4.0, 4.0 * m / C_THETA)
     while K * math.exp(-C_THETA * V + m * math.log(V)) * 2.0 / C_THETA > tol / 4.0:
@@ -219,15 +244,24 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
         if V > 1e4:
             raise RuntimeError("xi integral truncation failed to converge")
 
-    def integrand(v: float) -> complex:
-        lv = math.log(v)
-        kern = cmath.exp((s + 3 * a - 1) * lv) + cmath.exp((-s + 3 * a) * lv)
-        return theta(v, a, inner) * kern
-
-    re_val, re_err = quad(lambda v: integrand(v).real, 1.0, V, epsabs=tol / 4, epsrel=1e-11, limit=400)
-    im_val, im_err = quad(lambda v: integrand(v).imag, 1.0, V, epsabs=tol / 4, epsrel=1e-11, limit=400)
-    pref = C_THETA ** (3 * a) / 6.0  # (sqrt3/2pi)^{-3a} / 6
-    return pref * complex(re_val, im_val)
+    # composite 20-point Gauss-Legendre rule on P equal panels of [1, V],
+    # P doubled until two sums agree within tol/4 or, where that is below
+    # double-precision roundoff, within 1e-13 of the integral of |f|
+    P = max(4, math.ceil((V - 1.0) * (1.0 + abs(s.imag) / 4.0)))
+    prev = None
+    for _ in range(9):  # the starting P and at most 8 doublings
+        h = (V - 1.0) / P
+        mid = 1.0 + h * (np.arange(P) + 0.5)
+        v = (mid[:, None] + (h / 2.0) * _GL_X).ravel()
+        w = np.tile((h / 2.0) * _GL_W, P)
+        lv = np.log(v)
+        f = _sector_theta(v, a, R) * (np.exp((s + 3 * a - 1) * lv) + np.exp((-s + 3 * a) * lv))
+        val = complex(np.dot(w, f))
+        if prev is not None and abs(val - prev) <= max(tol / 4.0, 1e-13 * float(np.dot(w, np.abs(f)))):
+            return C_THETA ** (3 * a) / 6.0 * val  # (sqrt3/2pi)^{-3a} / 6
+        prev = val
+        P *= 2
+    raise RuntimeError("xi integral quadrature failed to converge in 8 doublings")
 
 
 def functional_eq_residual(s: complex, a: int, tol: float = 1e-9) -> float:

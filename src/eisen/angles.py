@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import factor
 from .analytic import li
@@ -123,13 +122,22 @@ def chi_prime_sum_decomposition(x: float, a: int) -> complex:
 
 def theta_equidistribution_stat(x: float) -> float:
     """Kolmogorov-Smirnov distance between the ideal angles of norm <= x
-    and the uniform distribution on [-pi/6, pi/6)."""
+    and the uniform distribution on [-pi/6, pi/6):
+
+        D = max_i max(i/n - F(x_i), F(x_i) - (i-1)/n)
+
+    over the sorted angles x_1 <= ... <= x_n, with F(x) = (x + pi/6)/(pi/3).
+    """
     if x < 100:
         raise ValueError("x >= 100 required")
     _, thetas = _ideal_arrays(x)
-    if len(thetas) < 10:
+    n = len(thetas)
+    if n < 10:
         raise ValueError("fewer than 10 ideals below x")
-    return float(stats.kstest(thetas, stats.uniform(loc=-PI_6, scale=2 * PI_6).cdf).statistic)
+    cdf = (np.sort(thetas) + PI_6) / (2 * PI_6)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
 
 
 def split_prime_reciprocal_sum(x: int) -> float:

@@ -8,6 +8,7 @@ code under test.
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,24 @@ def test_li_values():
     assert li(100.0) == pytest.approx(29.0809778039621371, abs=1e-9)
     assert li(10.0**6) == pytest.approx(78626.5039956820644, rel=1e-12)
     assert li(10.0**6) > 10.0**6 / math.log(10.0**6)
+
+
+# Li(x) = li(x) - li(2) from mpmath at 40 digits, at the float x given
+LI_FROZEN = {
+    2.0000001: 1.4426949864936581988e-7,
+    3.0: 1.118424814549699188,
+    20.0: 8.8601361975153283514,
+    1e9: 50849233.911838017887,
+    1e12: 37607950279.759701709,
+    1e300: 1.4497500526693363651e297,
+}
+
+
+def test_li_frozen_mpmath():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, want in LI_FROZEN.items():
+            assert li(x) == pytest.approx(want, rel=1e-13, abs=0.0), x
 
 
 def test_li_validation():
@@ -120,7 +139,7 @@ def test_theta_validation():
         theta(1.0, -1)
     with pytest.raises(ValueError):
         theta(1.0, 0, tol=0.0)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         theta(1e-5, 1)  # would need over 1e6 shells
 
 
@@ -214,6 +233,25 @@ def test_xi_matches_gamma_times_l():
         via_l = (math.sqrt(3.0) / (2.0 * math.pi)) ** s * complex_gamma(s + 3 * a) * l_dirichlet(s, a)
         via_int = xi_integral(s, a)
         assert abs(via_int - via_l) <= tol * abs(via_l)
+
+
+# xi(s, chi^{6a}) from the incomplete-gamma series of the theta integral,
+# (1/6) sum_mu cos(6a arg mu) [(cN)^-s G(s+3a, cN) + (cN)^(s-1) G(1-s+3a, cN)]
+# with c = 2pi/sqrt3, N = |mu|^2 <= 80, in mpmath at 30 digits
+XI_FROZEN = [
+    (1, 0.5 + 7j, -0.005770050233974297 + 0j),
+    (2, -5 + 0j, 17544.35783060851 + 0j),
+    (2, -5 + 15j, 0.656232588324966 - 5.6331402994324415j),
+    (3, -5 + 7j, -6465178.113296345 + 3801491.821369349j),
+    (3, 3 + 7j, -66285.205905865 + 87093.824380586j),
+    (3, 3 + 15j, 42.00180561289829 + 272.49983873832554j),
+]
+
+
+@pytest.mark.parametrize("a,s,want", XI_FROZEN)
+def test_xi_against_incomplete_gamma_series(a, s, want):
+    # the integral is asked for tol = 1e-9 before it is scaled by (2pi/sqrt3)^{3a}/6
+    assert abs(xi_integral(s, a) - want) <= 1e-9 * C_THETA ** (3 * a) / 6.0
 
 
 def test_xi_symmetry():

@@ -111,7 +111,9 @@ def test_equidistribution_stat_decays():
     s5 = theta_equidistribution_stat(10**5)
     assert s5 < s3
     assert s5 < 0.01
+    # frozen from scipy.stats.kstest against the uniform law on [-pi/6, pi/6)
     assert s3 == pytest.approx(0.020958083832335328, abs=1e-12)
+    assert s5 == pytest.approx(0.0031411264516655324, abs=1e-12)
 
 
 def test_equidistribution_stat_validation():

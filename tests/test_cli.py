@@ -1,9 +1,14 @@
 """CLI behaviour: record formats, exit codes, flag placement, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import eisen
+from eisen import cli
 from eisen.cli import run
 
 
@@ -151,6 +156,10 @@ def test_rejected_arguments_exit_2(capsys):
     capsys.readouterr()
     assert run(["theta", "-1.0", "0"]) == 2
     capsys.readouterr()
+    # a truncation radius beyond 1e6 shells is a limit on the input
+    assert run(["theta", "1e-06", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
     # Li(2) = 0 leaves the observed/expected ratio undefined
     assert run(["sector", "2", "-0.1", "0.1"]) == 2
     captured = capsys.readouterr()
@@ -166,10 +175,27 @@ def test_bad_usage_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_internal_error_exits_1(capsys):
-    # theta truncation blowing past its shell budget is a RuntimeError
-    assert run(["theta", "1e-5", "1"]) == 1
-    assert "internal error" in capsys.readouterr().err
+def test_internal_error_exits_1(capsys, monkeypatch):
+    def broken(args, out):
+        raise RuntimeError("invariant violated")
+
+    monkeypatch.setattr(cli, "_cmd_rq", broken)
+    assert run(["rq", "441"]) == 1
+    captured = capsys.readouterr()
+    assert "internal error: RuntimeError" in captured.err and captured.out == ""
+
+
+def test_xi_check_writes_nothing_to_stderr():
+    # a fresh process, so any warning the numerics emit reaches stderr
+    src = os.path.dirname(os.path.dirname(eisen.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eisen.cli", "xi-check", "0.5", "40", "8"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["command"] == "xi-check"
 
 
 def test_survey_csv(capsys):

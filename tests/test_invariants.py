@@ -1,6 +1,10 @@
-"""Invariant checks are explicit raises, so they survive python -O."""
+"""Invariant checks are explicit raises, so they survive python -O; the
+package runs on numpy and the standard library alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import eisen
@@ -14,3 +18,11 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, eisen, eisen.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
