@@ -31,9 +31,10 @@ from .factor import CirclePointSet, circle_points, primes_up_to
 PI_6 = math.pi / 6.0
 
 
-def _ideal_arrays(x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, angles) of all prime ideals with norm <= x, sorted by
-    norm, the conjugate pair above a split p ordered +theta first."""
+def _ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, angles) of all prime ideals with norm <= x, unsorted:
+    +theta_p and -theta_p for each split p <= x, 0 for each inert q with
+    q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
     if x < 2:
         return np.empty(0, dtype=np.int64), np.empty(0)
     if x > 10**8:
@@ -47,8 +48,13 @@ def _ideal_arrays(x: float) -> tuple[np.ndarray, np.ndarray]:
     if x >= 3:
         norms.append(np.array([3], dtype=np.int64))
         thetas.append(np.array([-PI_6]))
-    n_all = np.concatenate(norms)
-    t_all = np.concatenate(thetas)
+    return np.concatenate(norms), np.concatenate(thetas)
+
+
+def _ideal_arrays(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """_ideal_angles(x) sorted by norm, the conjugate pair above a split
+    p ordered +theta first."""
+    n_all, t_all = _ideal_angles(x)
     order = np.lexsort((-t_all, n_all))
     return n_all[order], t_all[order]
 
@@ -76,10 +82,11 @@ def sector_count(q: SectorQuery) -> tuple[int, float]:
     """Observed ideal count with angle in [phi1, phi2] against the
     Prime Ideal Theorem main term (3/pi)(phi2 - phi1) Li(x).
 
-    The interval is closed; a 1e-12 outward tolerance absorbs
-    floating-point ties at the endpoints.
+    Counts the unsorted angles of _ideal_angles (no sort).  The interval
+    is closed; a 1e-12 outward tolerance absorbs floating-point ties at
+    the endpoints.
     """
-    _, thetas = _ideal_arrays(q.x)
+    _, thetas = _ideal_angles(q.x)
     eps = 1e-12
     observed = int(np.count_nonzero((thetas >= q.phi1 - eps) & (thetas <= q.phi2 + eps)))
     expected = 3.0 / math.pi * (q.phi2 - q.phi1) * li(q.x)
@@ -130,7 +137,7 @@ def theta_equidistribution_stat(x: float) -> float:
     """
     if x < 100:
         raise ValueError("x >= 100 required")
-    _, thetas = _ideal_arrays(x)
+    _, thetas = _ideal_angles(x)
     n = len(thetas)
     if n < 10:
         raise ValueError("fewer than 10 ideals below x")

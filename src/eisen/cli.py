@@ -148,7 +148,7 @@ def _cmd_chi_sum(args, out: _Output) -> None:
 
 def _cmd_equi_stat(args, out: _Output) -> None:
     stat = angles.theta_equidistribution_stat(args.x)
-    count = angles._ideal_arrays(args.x)[0].size
+    count = angles._ideal_angles(args.x)[0].size
     out.emit({"x": args.x}, {"statistic": _round15(stat), "ideals": int(count)})
 
 

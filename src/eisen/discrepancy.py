@@ -124,28 +124,31 @@ def representable_sieve(x: int) -> np.ndarray:
     """Boolean table t[0..x]: t[n] iff r_Q(n) > 0.
 
     n is populated iff v_q(n) is even for every inert prime q (q = 2
-    mod 3).  A parity sieve XORs each power's indicator; n survives if
-    no inert prime ends with odd parity.
+    mod 3).  An inert q <= sqrt(x) touches only its multiples n = q*m,
+    m <= x // q, where v_q(n) is even iff v_q(m) is odd: a table over m
+    flipped once per power q^k dividing m keeps exactly those.  An inert
+    q > sqrt(x) divides n <= x at most once, so n = m*q is cleared for
+    each cofactor m <= x // (isqrt(x) + 1) against all such q <= x // m
+    at once, one vector write per m rather than one per prime.
     """
     if x < 1:
         raise ValueError("x >= 1")
     ok = np.ones(x + 1, dtype=bool)
     ok[0] = False
-    parity = np.zeros(x + 1, dtype=bool)
-    for q in factor.primes_up_to(x):
-        q = int(q)
-        if q % 3 != 2:
-            continue
-        if q * q > x:
-            # only the first power fits: odd parity exactly on multiples
-            ok[q::q] = False
-            continue
-        parity[:] = False
+    primes = factor.primes_up_to(x)
+    inert = primes[primes % 3 == 2]
+    r = math.isqrt(x)
+    small = int(np.searchsorted(inert, r, side="right"))
+    for q in inert[:small].tolist():
+        keep = np.zeros(x // q, dtype=bool)  # keep[m - 1]: v_q(m) odd
         pw = q
-        while pw <= x:
-            parity[pw::pw] ^= True
+        while pw <= x // q:
+            keep[pw - 1 :: pw] ^= True
             pw *= q
-        ok &= ~parity
+        ok[q::q] &= keep
+    large = inert[small:]
+    for m in range(1, x // (r + 1) + 1):
+        ok[m * large[: np.searchsorted(large, x // m, side="right")]] = False
     return ok
 
 

@@ -1,6 +1,7 @@
 """Prime-ideal angles: enumeration, sectors, character sums, bad circles."""
 
 import math
+import random
 
 import pytest
 
@@ -75,6 +76,29 @@ def test_sector_ratio_near_one():
     for phi1, phi2 in ((-PI_6, 0.0), (0.0, 0.3), (-0.2, 0.25)):
         obs, exp = sector_count(SectorQuery(10**5, phi1, phi2))
         assert 0.93 < obs / exp < 1.07
+
+
+def _listed_count(x, phi1, phi2):
+    eps = 1e-12
+    return sum(1 for _, t in prime_ideals_up_to(x) if phi1 - eps <= t <= phi2 + eps)
+
+
+def test_sector_count_matches_ideal_list():
+    # sector_count reads unsorted angles; the public sorted list is the
+    # reference, with ends exactly on -pi/6, 0 and +-theta_7, and ends
+    # 5e-13 past them, inside the tolerance
+    th7 = split_prime_generator(7).theta_p
+    ends = [(-PI_6, 0.0), (-PI_6, -th7), (-th7, 0.0), (0.0, th7), (-th7, th7), (th7, 0.5)]
+    d = 5e-13
+    ends += [(-PI_6 + d, -th7 - d), (-th7 + d, -d), (d, th7 - d), (th7 + d, 0.5)]
+    rng = random.Random(2005)
+    seeded = [tuple(sorted(rng.uniform(-PI_6, PI_6) for _ in range(2))) for _ in range(40)]
+    for x in (2.5, 3, 4, 20, 1e4):
+        for phi1, phi2 in ends + seeded:
+            obs, _ = sector_count(SectorQuery(x, phi1, phi2))
+            assert obs == _listed_count(x, phi1, phi2), (x, phi1, phi2)
+    # no prime ideal has norm <= 2.5
+    assert sector_count(SectorQuery(2.5, -PI_6, 0.5))[0] == 0
 
 
 def test_chi_prime_sum_tiny_x():

@@ -166,6 +166,13 @@ def test_rejected_arguments_exit_2(capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
+def test_census_bounds_exit_2(capsys):
+    for x in ("0", "10000001"):
+        assert run(["bq", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == "", x
+
+
 def test_bad_usage_exits_2(capsys):
     assert run(["no-such-command"]) == 2
     capsys.readouterr()

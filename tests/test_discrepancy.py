@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eisen.discrepancy import (
     GAMMA_MAX,
@@ -151,6 +152,31 @@ def test_census_counts():
         b_q(10**7 + 1)
     with pytest.raises(ValueError):
         representable_sieve(0)
+
+
+def test_census_frozen_powers_of_ten():
+    # frozen from the full-length XOR parity sieve, one pass per prime power
+    frozen = [5, 36, 277, 2299, 20091, 180874, 1659711]
+    assert [b_q(10**k) for k in range(1, 8)] == frozen
+
+
+_POPULATED = np.array([False] + [r_q(n) > 0 for n in range(1, 3001)])
+
+
+def test_representable_sieve_on_power_boundaries():
+    # x just below, at and just past q^2 and q^3, where the power loop
+    # and the split between small and large inert primes move
+    for q in (2, 5, 11):
+        for x in (q * q - 1, q * q, q**3, q**3 + 1):
+            ok = representable_sieve(x)
+            assert ok.shape == (x + 1,)
+            assert np.array_equal(ok, _POPULATED[: x + 1]), (q, x)
+
+
+@given(st.integers(min_value=1, max_value=3000))
+@settings(max_examples=100, deadline=None)
+def test_representable_sieve_prefix_of_r_q(x):
+    assert np.array_equal(representable_sieve(x), _POPULATED[: x + 1])
 
 
 def test_survey_against_direct_count():
