@@ -267,6 +267,9 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
 def functional_eq_residual(s: complex, a: int, tol: float = 1e-9) -> float:
     """|xi(s) - xi(1-s)| / (|xi(s)| + 1e-30)."""
     s = _check_finite(s)
-    x1 = xi_integral(s, a, tol)
-    x2 = xi_integral(1.0 - s, a, tol)
+    return _fe_residual(xi_integral(s, a, tol), xi_integral(1.0 - s, a, tol))
+
+
+def _fe_residual(x1: complex, x2: complex) -> float:
+    """The residual above from x1 = xi(s) and x2 = xi(1-s)."""
     return abs(x1 - x2) / (abs(x1) + 1e-30)

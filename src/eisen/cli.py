@@ -226,7 +226,7 @@ def _cmd_xi_check(args, out: _Output) -> None:
     tol = args.tol if args.tol is not None else 1e-9
     s = complex(args.re, args.im)
     xi = analytic.xi_integral(s, args.a, tol)
-    r = analytic.functional_eq_residual(s, args.a, tol)
+    r = analytic._fe_residual(xi, analytic.xi_integral(1.0 - s, args.a, tol))
     out.emit(
         {"re": args.re, "im": args.im, "a": args.a},
         {

@@ -11,9 +11,9 @@ takes its extreme values only at 0 or at the jump points: the supremum
 uses the right limits G(phi+) and the infimum the left limits G(phi-).
 That gives an exact O(N log N) evaluation.
 
-The census side: a circle is populated iff every inert prime divides n
-to an even power; b_q(x) counts populated circles up to x, and the
-survey measures how often Delta(n) beats the power law N^{-gamma}.
+The census side: a circle is populated iff some lattice point has norm
+n (iff every inert prime divides n to an even power); b_q(x) counts
+populated circles up to x, and the survey measures how often Delta(n) beats the power law N^{-gamma}.
 Delta(n) >= 1/(2 r_Q(n)) always (six-fold symmetry leaves gaps), and
 gamma must stay below log(pi)/log(2) - 1 for the census fraction to
 have a limit.
@@ -52,6 +52,14 @@ def _g_limits(turns: np.ndarray, rank: np.ndarray, total) -> tuple[np.ndarray, n
     return rank / total - turns, (rank - 1) / total - turns
 
 
+def _circle_angles(n: int) -> np.ndarray:
+    """Angles arg(mu) of the points on |mu|^2 = n, in circle_points order."""
+    pts = factor.circle_points(n)
+    if pts.count == 0:
+        raise ValueError(f"no lattice points on |mu|^2 = {n}")
+    return np.array([z.arg() for z in pts.points], dtype=np.float64)
+
+
 def discrepancy_exact(n: int) -> DiscrepancyResult:
     """Exact Delta(n) over all arcs, with a witness arc.
 
@@ -62,11 +70,8 @@ def discrepancy_exact(n: int) -> DiscrepancyResult:
     point; that matches Delta(1) = 1/6 attained by arbitrarily short
     arcs around one point.
     """
-    pts = factor.circle_points(n)
-    if pts.count == 0:
-        raise ValueError(f"no lattice points on |mu|^2 = {n}")
     # distinct points on one circle have distinct angles
-    u = np.sort(np.mod(np.array([z.arg() for z in pts.points], dtype=np.float64), TWO_PI))
+    u = np.sort(np.mod(_circle_angles(n), TWO_PI))
     g_right, g_left = _g_limits(u / TWO_PI, np.arange(1, u.size + 1), u.size)
     i_hi = int(np.argmax(g_right))
     i_lo = int(np.argmin(g_left))
@@ -75,7 +80,7 @@ def discrepancy_exact(n: int) -> DiscrepancyResult:
     t_hi = float(u[i_hi]) if g_right[i_hi] > 0.0 else 0.0
     t_lo = float(u[i_lo]) if g_left[i_lo] < 0.0 else 0.0
     witness = (t_lo, t_hi) if t_lo <= t_hi else (t_hi, t_lo)
-    return DiscrepancyResult(n=n, count=pts.count, delta=float(sup_g - inf_g), witness=witness)
+    return DiscrepancyResult(n=n, count=int(u.size), delta=float(sup_g - inf_g), witness=witness)
 
 
 def discrepancy_random_lower_bound(n: int, arcs: int = 10000, seed: int = 0) -> float:
@@ -86,16 +91,13 @@ def discrepancy_random_lower_bound(n: int, arcs: int = 10000, seed: int = 0) -> 
     """
     if arcs < 1:
         raise ValueError("arcs >= 1")
-    pts = factor.circle_points(n)
-    if pts.count == 0:
-        raise ValueError(f"no lattice points on |mu|^2 = {n}")
-    phis = np.sort(np.mod(np.array([z.arg() for z in pts.points]), TWO_PI))
+    phis = np.sort(np.mod(_circle_angles(n), TWO_PI))
     rng = np.random.default_rng(seed)
     ab = rng.uniform(0.0, TWO_PI, size=(arcs, 2))
     alpha = ab.min(axis=1)
     beta = ab.max(axis=1)
     inside = np.searchsorted(phis, beta, side="left") - np.searchsorted(phis, alpha, side="left")
-    err = np.abs(inside / pts.count - (beta - alpha) / TWO_PI)
+    err = np.abs(inside / phis.size - (beta - alpha) / TWO_PI)
     return float(err.max())
 
 
@@ -109,10 +111,7 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
         raise ValueError("T >= 1")
     if C <= 0:
         raise ValueError("C > 0")
-    pts = factor.circle_points(n)
-    if pts.count == 0:
-        raise ValueError(f"no lattice points on |mu|^2 = {n}")
-    phis = np.array([z.arg() for z in pts.points], dtype=np.float64)
+    phis = _circle_angles(n)
     total = 1.0 / T
     for k in range(1, T + 1):
         zk = np.exp(1j * k * phis).mean()
@@ -121,34 +120,15 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
 
 
 def representable_sieve(x: int) -> np.ndarray:
-    """Boolean table t[0..x]: t[n] iff r_Q(n) > 0.
-
-    n is populated iff v_q(n) is even for every inert prime q (q = 2
-    mod 3).  An inert q <= sqrt(x) touches only its multiples n = q*m,
-    m <= x // q, where v_q(n) is even iff v_q(m) is odd: a table over m
-    flipped once per power q^k dividing m keeps exactly those.  An inert
-    q > sqrt(x) divides n <= x at most once, so n = m*q is cleared for
-    each cofactor m <= x // (isqrt(x) + 1) against all such q <= x // m
-    at once, one vector write per m rather than one per prime.
-    """
+    """Boolean table t[0..x]: t[n] iff r_Q(n) > 0, i.e. iff n is the norm of
+    a lattice point; every nonzero point has an associate in the sector,
+    so the table marks the norms that factor.iter_lattice_blocks(x) yields."""
     if x < 1:
         raise ValueError("x >= 1")
-    ok = np.ones(x + 1, dtype=bool)
-    ok[0] = False
-    primes = factor.primes_up_to(x)
-    inert = primes[primes % 3 == 2]
-    r = math.isqrt(x)
-    small = int(np.searchsorted(inert, r, side="right"))
-    for q in inert[:small].tolist():
-        keep = np.zeros(x // q, dtype=bool)  # keep[m - 1]: v_q(m) odd
-        pw = q
-        while pw <= x // q:
-            keep[pw - 1 :: pw] ^= True
-            pw *= q
-        ok[q::q] &= keep
-    large = inert[small:]
-    for m in range(1, x // (r + 1) + 1):
-        ok[m * large[: np.searchsorted(large, x // m, side="right")]] = False
+    ok = np.zeros(x + 1, dtype=bool)
+    for block in factor.iter_lattice_blocks(x):
+        ok[block[2]] = True
+        del block  # not kept alive while the next block is built
     return ok
 
 

@@ -21,6 +21,7 @@ pi_p and conj(pi_p) and then applying the six units.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -44,10 +45,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the 12 bases cover all n < 3.3e24."""
+    """Miller-Rabin on the 12 bases 2..37; deterministic only below
+    psi_12 = 318665857834031151167461, which (like psi_13) it accepts."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -69,11 +71,7 @@ def is_prime(n: int) -> bool:
 
 
 def _sieve(x: int) -> np.ndarray:
-    """Boolean primality table 0..x by a plain sieve of Eratosthenes.
-
-    Not cached: the table is x + 1 bytes, and a large census should not
-    keep it alive.
-    """
+    """Boolean primality table 0..x by a plain sieve of Eratosthenes (not cached)."""
     sieve = np.ones(x + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(x) + 1):
@@ -93,7 +91,7 @@ _SMALL_PRIMES = [int(p) for p in primes_up_to(1 << 16)]
 
 
 def _pollard_rho(n: int) -> int:
-    # Brent's cycle variant; n odd composite, no factor below 2^16
+    # Floyd's cycle finding; n odd composite, no factor below 2^16
     if is_prime(n):
         return n
     for c in range(1, 64):
@@ -242,18 +240,14 @@ def _represent_prime(p: int) -> EisensteinInt:
 
 PI3 = EisensteinInt(2, -1)  # canonical associate of 1 + w; 3 = w * PI3^2
 
-_split_record_cache: dict[int, PrimeSplitRecord] = {}
 
-
+@functools.lru_cache(maxsize=1 << 12)
 def split_prime_generator(p: int) -> PrimeSplitRecord:
     """Record for split p: generator pi with theta_p in (0, pi/6).
 
     Unique: of the twelve elements of norm p, exactly one lies in the
     open sector (0, pi/6).
     """
-    rec = _split_record_cache.get(p)
-    if rec is not None:
-        return rec
     if classify_prime(p) is not PrimeClass.SPLIT:
         raise ValueError(f"{p} is not split (p mod 3 = {p % 3})")
     z, _ = canonical_associate(_represent_prime(p))
@@ -263,9 +257,7 @@ def split_prime_generator(p: int) -> PrimeSplitRecord:
     if not (z.b > 0 and z.norm() == p):
         raise RuntimeError(f"generator {z} of {p} is not in the open sector (0, pi/6)")
     theta = z.arg()
-    rec = PrimeSplitRecord(p, PrimeClass.SPLIT, z, theta, theta)
-    _split_record_cache[p] = rec
-    return rec
+    return PrimeSplitRecord(p, PrimeClass.SPLIT, z, theta, theta)
 
 
 def prime_record(p: int) -> PrimeSplitRecord:
@@ -469,23 +461,25 @@ def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
             rows, size = [], 0
 
 
-_lattice_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+_CACHE_MAX = 4 * 10**6  # largest x whose sector tables are kept
+_tables: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
 
-def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fundamental-sector points of norm <= x (see iter_lattice_blocks)
-    as (norms, angles), sorted by (norm, angle); one point per associate
-    class, so circle n holds r_Q(n)/6 of them.  Materialized and cached;
-    keep x <= ~2e6."""
-    if x > 4 * 10**6:
-        raise ValueError("materialized enumeration capped at 4e6")
-    cached = _lattice_cache.get("pts")
-    if cached is not None and cached[0] >= x:
-        cx, cn, ct = cached
-        if cx == x:
-            return cn, ct
-        k = np.searchsorted(cn, x, side="right")
-        return cn[:k], ct[:k]
+def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
+    """build(x) = (keys, values), keys sorted.  Per name, keeps the table of
+    the largest x <= _CACHE_MAX asked for (39 MB for the sector at the cap)
+    and slices it for a smaller x; a larger x is built and not kept."""
+    kept = _tables.get(name)
+    if kept is not None and kept[0] >= x:
+        k = np.searchsorted(kept[1], x, side="right")
+        return kept[1][:k], kept[2][:k]
+    keys, values = build(x)
+    if x <= _CACHE_MAX:
+        _tables[name] = (x, keys, values)
+    return keys, values
+
+
+def _build_lattice(x: int) -> tuple[np.ndarray, np.ndarray]:
     norms = [np.empty(0, dtype=np.int64)]
     angles = [np.empty(0)]
     for a, b, n in iter_lattice_blocks(x):
@@ -493,31 +487,20 @@ def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
         angles.append(sector_angles(a, b))
     norms, angles = np.concatenate(norms), np.concatenate(angles)
     order = np.lexsort((angles, norms))
-    norms, angles = norms[order], angles[order]
-    _lattice_cache["pts"] = (x, norms, angles)
-    return norms, angles
+    return norms[order], angles[order]
 
 
-_split_angle_cache: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fundamental-sector points of norm <= x (see iter_lattice_blocks)
+    as (norms, angles), sorted by (norm, angle); one point per associate
+    class, so circle n holds r_Q(n)/6 of them.  Materialized and cached;
+    x <= _CACHE_MAX."""
+    if x > _CACHE_MAX:
+        raise ValueError("materialized enumeration capped at 4e6")
+    return _prefix_cached("pts", x, _build_lattice)
 
 
-def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (p, theta_p) for every split prime p <= x, sorted by p.
-
-    Keeps the sector points with b >= 1 (so a > b >= 1) whose norm is a
-    prime; each split prime has exactly one such representative, and its
-    angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
-    lookup.
-    """
-    if x > 10**8:
-        raise ValueError("split prime enumeration capped at 1e8")
-    cached = _split_angle_cache.get("sp")
-    if cached is not None and cached[0] >= x:
-        cx, cp, ct = cached
-        if cx == x:
-            return cp, ct
-        k = np.searchsorted(cp, x, side="right")
-        return cp[:k], ct[:k]
+def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     prime = _sieve(x)
     ps = [np.empty(0, dtype=np.int64)]
     ts = [np.empty(0)]
@@ -527,7 +510,17 @@ def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
         ts.append(sector_angles(a[keep], b[keep]))
     p_all, t_all = np.concatenate(ps), np.concatenate(ts)
     order = np.argsort(p_all, kind="stable")
-    p_all, t_all = p_all[order], t_all[order]
-    if x <= 4 * 10**6:  # keep the cache bounded
-        _split_angle_cache["sp"] = (x, p_all, t_all)
-    return p_all, t_all
+    return p_all[order], t_all[order]
+
+
+def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, theta_p) for every split prime p <= x, sorted by p.
+
+    Keeps the sector points with b >= 1 (so a > b >= 1) whose norm is a
+    prime; each split prime has exactly one such representative, and its
+    angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
+    lookup.  Cached up to _CACHE_MAX; served uncached up to 1e8.
+    """
+    if x > 10**8:
+        raise ValueError("split prime enumeration capped at 1e8")
+    return _prefix_cached("sp", x, _build_split_primes)

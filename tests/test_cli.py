@@ -102,6 +102,23 @@ def test_xi_check_record(capsys):
     assert rec["result"]["residual"] < 1e-6
 
 
+def test_xi_check_evaluates_xi_twice(capsys, monkeypatch):
+    calls = []
+    xi_integral = cli.analytic.xi_integral
+
+    def counted(*args):
+        calls.append(args)
+        return xi_integral(*args)
+
+    monkeypatch.setattr(cli.analytic, "xi_integral", counted)
+    assert run(["xi-check", "3.2", "5", "1"]) == 0
+    assert len(calls) == 2
+    assert capsys.readouterr().out == (
+        '{"command": "xi-check", "params": {"re": 3.2, "im": 5.0, "a": 1}, '
+        '"result": {"residual": 0.0, "xi_re": -0.352049897626107, "xi_im": 0.138854537019001}}\n'
+    )
+
+
 def test_avg_expsum_checkpoint_rows(capsys):
     assert run(["avg-expsum", "10000", "6", "--checkpoints", "1000,10000"]) == 0
     recs = [json.loads(ln) for ln in _lines(capsys)]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eisen import factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
 from eisen.factor import (
     PI3,
@@ -97,7 +98,7 @@ def test_split_prime_generator_small_primes():
 
 
 def test_split_prime_generator_rejects_non_split():
-    for p in (2, 3, 5, 11):
+    for p in (2, 3, 5, 11, 91, 5, 11, 91):  # the memo keeps no failure
         with pytest.raises(ValueError):
             split_prime_generator(p)
 
@@ -108,6 +109,8 @@ def test_split_prime_generator_large():
     rec = split_prime_generator(p)
     assert rec.pi.norm() == p
     assert rec.pi == EisensteinInt(999999999, 2)
+    assert split_prime_generator(p) == rec  # memoized, up to 1 << 12 primes
+    assert split_prime_generator.cache_info().maxsize == 1 << 12
 
 
 def test_prime_record_all_classes():
@@ -236,3 +239,42 @@ def test_split_prime_angles_bulk_matches_records():
     for p, t in zip(ps[:50], ts[:50]):
         # vectorized arctan2 may differ from the scalar libm by an ulp
         assert abs(t - split_prime_generator(int(p)).theta_p) < 1e-15
+
+
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.xfail(strict=True, reason="strong pseudoprime to bases 2..37; is_prime accepts it")
+def test_is_prime_rejects_psi12():
+    assert is_prime(PSI_12) is False
+
+
+@pytest.mark.xfail(strict=True, reason="strong pseudoprime to bases 2..37; is_prime accepts it")
+def test_is_prime_rejects_psi13():
+    assert is_prime(PSI_13) is False
+
+
+@pytest.mark.parametrize("build, name", [(lattice_norms_angles, "pts"), (split_prime_angles, "sp")])
+def test_table_cache_slices_to_a_fresh_build(build, name, monkeypatch):
+    monkeypatch.setattr(factor, "_tables", {})
+    build(20000)
+    sliced = build(3001)  # a split prime, so the slice must include its own norm
+    assert factor._tables[name][0] == 20000  # 3001 was served from the 20000 table
+    monkeypatch.setattr(factor, "_tables", {})
+    fresh = build(3001)
+    assert all(np.array_equal(got, want) for got, want in zip(sliced, fresh))
+
+
+def test_table_cache_keeps_table_above_the_cap(monkeypatch):
+    monkeypatch.setattr(factor, "_tables", {})
+    kept = split_prime_angles(5000)
+    ps, _ = split_prime_angles(factor._CACHE_MAX + 1)
+    assert int(ps[-1]) <= factor._CACHE_MAX + 1 and ps.size > kept[0].size
+    x, cp, ct = factor._tables["sp"]
+    assert x == 5000 and cp is kept[0] and ct is kept[1]
+
+
+def test_lattice_table_capped():
+    with pytest.raises(ValueError):
+        lattice_norms_angles(4 * 10**6 + 1)

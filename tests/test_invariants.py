@@ -1,5 +1,6 @@
 """Invariant checks are explicit raises, so they survive python -O; the
-package runs on numpy and the standard library alone."""
+package runs on numpy and the standard library alone; its one module-level
+cache is the bounded table cache in factor."""
 
 import ast
 import os
@@ -18,6 +19,27 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _module_dicts(source: str) -> list[str]:
+    """Names bound at module level to an empty {} or a dict() call."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            v = node.value
+            if (isinstance(v, ast.Dict) and not v.keys) or (
+                isinstance(v, ast.Call) and isinstance(v.func, ast.Name) and v.func.id == "dict"
+            ):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [ast.unparse(t) for t in targets]
+    return found
+
+
+def test_one_module_level_cache():
+    # any other cache goes through factor._prefix_cached or functools.lru_cache
+    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py")) for name in _module_dicts(path.read_text())]
+    assert found == ["factor.py:_tables"]
+    assert _module_dicts("_split_record_cache: dict[int, object] = {}\nx = dict()") == ["_split_record_cache", "x"]
 
 
 def test_import_loads_no_scipy():
