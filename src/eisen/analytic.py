@@ -197,16 +197,15 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
     growth = (1.0 + abs(s) / (sigma - beta)) * 10.0 / 6.0
     want = (growth / tol) ** (1.0 / (sigma - beta))
     R = int(min(2_000_000, max(300_000, want)))
-    s_re, s_im = expsum.circle_sums(R, 6 * aa)
-    mask = (s_re != 0.0) | (s_im != 0.0)
-    mask[0] = False
-    ns = np.nonzero(mask)[0].astype(np.float64)
-    coeff = s_re[mask] + 1j * s_im[mask]
-    powers = np.exp(-s * np.log(ns))
-    total = complex(np.sum(coeff * powers)) / 6.0
-    # exact coefficient sum at the cutoff for the boundary correction
-    A_R = complex(np.sum(s_re[mask]), np.sum(s_im[mask]))
-    total -= A_R * R ** complex(-s) / 6.0
+    # band by band over the sector sums c(n) = S(n, 6a) / 6, which are
+    # real; A_R = A(R) / 6 sums them to the cutoff for the boundary
+    # correction
+    total, A_R = 0j, 0.0
+    for n0, c in expsum._band_cos_sums(R, 6 * aa):
+        k = np.flatnonzero(c)
+        total += complex(np.sum(c[k] * np.exp(-s * np.log((n0 + k).astype(np.float64)))))
+        A_R += float(np.sum(c[k]))
+    total -= A_R * R ** complex(-s)
     if aa == 0:
         total += C_THETA * s * R ** (1.0 - s) / (s - 1.0) / 6.0
     err = growth * R ** (beta - sigma)

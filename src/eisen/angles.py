@@ -135,6 +135,12 @@ def theta_equidistribution_stat(x: float) -> float:
 
     over the sorted angles x_1 <= ... <= x_n, with F(x) = (x + pi/6)/(pi/3).
     """
+    return _equi_stat(x)[0]
+
+
+def _equi_stat(x: float) -> tuple[float, int]:
+    """theta_equidistribution_stat(x) and the number of ideals it ranks,
+    from one build of the ideal angles."""
     if x < 100:
         raise ValueError("x >= 100 required")
     _, thetas = _ideal_angles(x)
@@ -144,7 +150,7 @@ def theta_equidistribution_stat(x: float) -> float:
     cdf = (np.sort(thetas) + PI_6) / (2 * PI_6)
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
-    return float(max(d_plus, d_minus))
+    return float(max(d_plus, d_minus)), n
 
 
 def split_prime_reciprocal_sum(x: int) -> float:

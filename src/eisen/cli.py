@@ -147,8 +147,7 @@ def _cmd_chi_sum(args, out: _Output) -> None:
 
 
 def _cmd_equi_stat(args, out: _Output) -> None:
-    stat = angles.theta_equidistribution_stat(args.x)
-    count = angles._ideal_angles(args.x)[0].size
+    stat, count = angles._equi_stat(args.x)
     out.emit({"x": args.x}, {"statistic": _round15(stat), "ideals": int(count)})
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -102,10 +103,19 @@ def circle_sums(x: int, A: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
     out_im = np.zeros(x + 1)
     if A % 6 != 0:
         return out_re, out_im
-    for a, b, n in factor.iter_lattice_blocks(x):
-        out_re += np.bincount(n, weights=np.cos(A * factor.sector_angles(a, b)), minlength=x + 1)
+    for n0, c in _band_cos_sums(x, A):
+        out_re[n0 : n0 + c.size] = c
     out_re *= 6.0
     return out_re, out_im
+
+
+def _band_cos_sums(x: int, A: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Per enumerator band, (n0, c) with c[i] the sum of cos(A theta) over
+    the sector points of norm n0 + i; the bands are disjoint, so each c
+    is the whole sector sum of its norms, S(n, A) / 6 when 6 | A."""
+    for a, b, n in factor.iter_lattice_blocks(x):
+        n0 = int(n.min())
+        yield n0, np.bincount(n - n0, weights=np.cos(A * factor.sector_angles(a, b)))
 
 
 def _checkpoint_means(abs_s: np.ndarray, checkpoints: list[int]) -> list[tuple[int, float]]:

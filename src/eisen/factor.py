@@ -205,8 +205,8 @@ def _represent_prime(p: int) -> EisensteinInt:
     Cornacchia on 4p = x^2 + 3y^2: take r odd with r^2 = -3 (mod p)
     (then automatically r^2 = -3 mod 4p), reduce (2p, r) by the
     Euclidean algorithm until the remainder drops to at most 2*sqrt(p),
-    and read off x.  Falls back to a direct scan, which also serves as
-    the correctness net for the reduction shortcut.
+    and read off x.  The reduction is proven to succeed for split p, so
+    a failure is a fault and raises RuntimeError.
     """
     r = _sqrt_mod(p - 3, p)
     if r % 2 == 0:
@@ -223,19 +223,7 @@ def _represent_prime(p: int) -> EisensteinInt:
             cand = EisensteinInt((x - y) // 2, y)
             if cand.norm() == p:
                 return cand
-    # direct scan: for each b solve a^2 + ab + (b^2 - p) = 0 exactly
-    for bb in range(1, math.isqrt(4 * p // 3) + 1):
-        disc = 4 * p - 3 * bb * bb
-        if disc < 0:
-            break
-        t = math.isqrt(disc)
-        if t * t != disc:
-            continue
-        if (t - bb) % 2 == 0:
-            cand = EisensteinInt((t - bb) // 2, bb)
-            if cand.norm() == p:
-                return cand
-    raise RuntimeError(f"no representation found for split prime {p}")
+    raise RuntimeError(f"Cornacchia reduction failed for split prime {p}")
 
 
 PI3 = EisensteinInt(2, -1)  # canonical associate of 1 + w; 3 = w * PI3^2
@@ -419,7 +407,10 @@ def circle_points_bruteforce(n: int) -> CirclePointSet:
 # ---------------------------------------------------------------------------
 # fundamental-sector enumeration (shared by the statistics modules)
 
-_BLOCK_POINTS = 1 << 19  # points per block of iter_lattice_blocks
+_BLOCK_POINTS = 1 << 17  # sector points per band of iter_lattice_blocks
+# the sector holds pi / (3 sqrt 3) ~ 0.605 points per unit of norm, so a
+# band of this many norms holds about _BLOCK_POINTS points
+_BAND_NORMS = int(_BLOCK_POINTS * 3.0 * SQRT3 / math.pi)
 
 
 def sector_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -431,6 +422,22 @@ def sector_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.maximum(np.arctan2(b * (SQRT3 / 2.0), a + b / 2.0), -math.pi / 6.0)
 
 
+def _row_ends(b: np.ndarray, v: int) -> np.ndarray:
+    """A(b, v) = (isqrt(4v - 3b^2) - b) // 2 for every row b at once: the
+    largest a with a^2 + ab + b^2 <= v on the branch where the norm grows
+    with a.  A negative discriminant is taken as 0, which puts A(b, v)
+    below the first sector a of row b.
+
+    For d < 2^63 the floor of the float root is isqrt(d) or one more:
+    rounding is monotone and isqrt(d) is a double, so the root never
+    drops below it, but past 2^53 the float of k^2 - j can be k^2.  One
+    downward step makes it exact."""
+    d = np.maximum(4 * v - 3 * b * b, 0)
+    r = np.sqrt(d).astype(np.int64)
+    r -= r * r > d
+    return (r - b) // 2
+
+
 def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Yield int64 arrays (a, b, n) covering the fundamental sector to norm x.
 
@@ -439,26 +446,28 @@ def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
     lattice point has exactly one associate there, so the sector points
     times the six units give every point of norm <= x exactly once.
 
-    Rows are scanned in increasing b; for fixed b the admissible a form
-    the integer interval [max(b + 1, -2b), (isqrt(4x - 3b^2) - b) // 2].
+    Band contract: each block holds exactly the sector points with norm
+    in one band (lo, hi], where lo runs through the multiples of
+    B = _BAND_NORMS (about 2^17 points) below x and hi = min(lo + B, x).
+    So the blocks are disjoint and increasing in norm, all points of one
+    norm lie in one block, and a band without points yields no block.
+    Within a block the points run through the rows in increasing b, and
+    along a row in increasing a (so increasing n): row b starts at
+    a = max(b + 1, -2b), and the band holds its a in (A(b, lo), A(b, hi)],
+    A(b, v) = (isqrt(4v - 3b^2) - b) // 2.
     """
-    if x < 1:
-        return
-    rows: list[tuple[int, int, int]] = []
-    size = 0
-    bmax = math.isqrt(x // 3)
-    for b in range(-bmax, bmax + 1):
-        lo = max(b + 1, -2 * b)
-        hi = (math.isqrt(4 * x - 3 * b * b) - b) // 2
-        if hi >= lo:
-            rows.append((lo, hi, b))
-            size += hi - lo + 1
-        if rows and (size >= _BLOCK_POINTS or b == bmax):
-            a = np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi, _ in rows])
-            bb = np.repeat(np.array([r[2] for r in rows], dtype=np.int64),
-                           [hi - lo + 1 for lo, hi, _ in rows])
-            yield a, bb, a * a + a * bb + bb * bb
-            rows, size = [], 0
+    for lo in range(0, x, _BAND_NORMS):
+        hi = min(lo + _BAND_NORMS, x)
+        bmax = math.isqrt(hi // 3)  # the rows with 3b^2 <= hi
+        b = np.arange(-bmax, bmax + 1, dtype=np.int64)
+        first = np.maximum(np.maximum(b + 1, -2 * b), _row_ends(b, lo) + 1)
+        count = np.maximum(_row_ends(b, hi) - first + 1, 0)
+        total = int(count.sum())
+        if total == 0:
+            continue
+        bb = np.repeat(b, count)
+        a = np.arange(total, dtype=np.int64) + np.repeat(first - (np.cumsum(count) - count), count)
+        yield a, bb, a * a + a * bb + bb * bb
 
 
 _CACHE_MAX = 4 * 10**6  # largest x whose sector tables are kept
@@ -480,14 +489,16 @@ def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_lattice(x: int) -> tuple[np.ndarray, np.ndarray]:
+    # the bands are disjoint and increasing in norm, so sorting each band
+    # sorts the whole table
     norms = [np.empty(0, dtype=np.int64)]
     angles = [np.empty(0)]
     for a, b, n in iter_lattice_blocks(x):
-        norms.append(n)
-        angles.append(sector_angles(a, b))
-    norms, angles = np.concatenate(norms), np.concatenate(angles)
-    order = np.lexsort((angles, norms))
-    return norms[order], angles[order]
+        t = sector_angles(a, b)
+        order = np.lexsort((t, n))
+        norms.append(n[order])
+        angles.append(t[order])
+    return np.concatenate(norms), np.concatenate(angles)
 
 
 def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
@@ -505,12 +516,11 @@ def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     ps = [np.empty(0, dtype=np.int64)]
     ts = [np.empty(0)]
     for a, b, n in iter_lattice_blocks(x):
-        keep = (b >= 1) & prime[n]
+        keep = np.flatnonzero((b >= 1) & prime[n])
+        keep = keep[np.argsort(n[keep])]  # one point per split prime: no ties
         ps.append(n[keep])
         ts.append(sector_angles(a[keep], b[keep]))
-    p_all, t_all = np.concatenate(ps), np.concatenate(ts)
-    order = np.argsort(p_all, kind="stable")
-    return p_all[order], t_all[order]
+    return np.concatenate(ps), np.concatenate(ts)
 
 
 def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ code under test.
 import cmath
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -213,6 +214,17 @@ def test_l_log_derivative_consistency():
                 npow *= n
                 k += 1
         assert abs(num - series) < 1e-5
+
+
+def test_l_dirichlet_holds_one_band_at_a_time():
+    # R = 2e6 here; a full-length coefficient table would take 16 MB alone
+    tracemalloc.start()
+    try:
+        l_dirichlet(2.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_l_validation():

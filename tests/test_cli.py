@@ -119,6 +119,23 @@ def test_xi_check_evaluates_xi_twice(capsys, monkeypatch):
     )
 
 
+def test_equi_stat_builds_the_ideal_angles_once(capsys, monkeypatch):
+    calls = []
+    ideal_angles = cli.angles._ideal_angles
+
+    def counted(x):
+        calls.append(x)
+        return ideal_angles(x)
+
+    monkeypatch.setattr(cli.angles, "_ideal_angles", counted)
+    assert run(["equi-stat", "100000"]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == (
+        '{"command": "equi-stat", "params": {"x": 100000}, '
+        '"result": {"statistic": 0.00314112645166553, "ideals": 9603}}\n'
+    )
+
+
 def test_avg_expsum_checkpoint_rows(capsys):
     assert run(["avg-expsum", "10000", "6", "--checkpoints", "1000,10000"]) == 0
     recs = [json.loads(ln) for ln in _lines(capsys)]

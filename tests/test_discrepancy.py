@@ -1,6 +1,7 @@
 """Circle discrepancy: exact sweep, Erdos-Turan bound, census, survey."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ def test_census_counts():
         b_q(10**7 + 1)
     with pytest.raises(ValueError):
         representable_sieve(0)
+
+
+def test_representable_sieve_holds_one_band_at_a_time():
+    # the 2 MB table plus one band's transients
+    tracemalloc.start()
+    try:
+        representable_sieve(2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_census_frozen_powers_of_ten():

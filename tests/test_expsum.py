@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eisen import factor
 from eisen.expsum import (
     avg_exp_sum,
     circle_sums,
@@ -90,6 +91,12 @@ def test_circle_sums_match_pointwise():
     s_re, s_im = circle_sums(300, 6)
     for n in range(1, 301):
         v = exp_sum(n, 6).value
+        assert abs(complex(s_re[n], s_im[n]) - v) < 1e-9, n
+    # across the enumerator's band edges, where each band fills its own slice
+    B = factor._BAND_NORMS
+    s_re, s_im = circle_sums(2 * B + 40, 12)
+    for n in [*range(B - 40, B + 41), *range(2 * B - 40, 2 * B + 41)]:
+        v = exp_sum(n, 12).value
         assert abs(complex(s_re[n], s_im[n]) - v) < 1e-9, n
 
 

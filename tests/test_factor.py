@@ -113,6 +113,26 @@ def test_split_prime_generator_large():
     assert split_prime_generator.cache_info().maxsize == 1 << 12
 
 
+def test_cornacchia_reduction_on_every_split_prime_below_1e6():
+    for p in primes_up_to(10**6).tolist():
+        if p % 3 == 1:
+            assert factor._represent_prime(p).norm() == p, p
+
+
+def test_cornacchia_reduction_on_20_digit_split_primes():
+    # the first three above 1e19 and the last three below 1e20
+    found = []
+    for p, step in ((10**19 + 3, 6), (10**20 - 3, -6)):  # both are 1 (mod 6)
+        k = 0
+        while k < 3:
+            if is_prime(p):
+                found.append(p)
+                k += 1
+            p += step
+    for p in found:
+        assert factor._represent_prime(p).norm() == p, p
+
+
 def test_prime_record_all_classes():
     r3 = prime_record(3)
     assert r3.klass == PrimeClass.RAMIFIED
@@ -220,6 +240,64 @@ def test_lattice_blocks_concatenate_to_full_enumeration():
     got = sum(int(len(c[0])) for c in iter_lattice_blocks(5000))
     want = lattice_norms_angles(5000)[0].size
     assert got == want
+
+
+B = factor._BAND_NORMS  # band width of iter_lattice_blocks, in norms
+
+
+def _row_scan(x):
+    """The sector points to norm x as (a, b), one row at a time with
+    exact integer roots: the reference for the banded enumerator."""
+    rows = [np.empty((0, 2), dtype=np.int64)]
+    bmax = math.isqrt(x // 3)
+    for b in range(-bmax, bmax + 1):
+        lo, hi = max(b + 1, -2 * b), (math.isqrt(4 * x - 3 * b * b) - b) // 2
+        a = np.arange(lo, hi + 1, dtype=np.int64)
+        rows.append(np.stack([a, np.full_like(a, b)], axis=1))
+    return np.concatenate(rows)
+
+
+def _by_point(ab):
+    return ab[np.lexsort((ab[:, 1], ab[:, 0]))]
+
+
+@pytest.mark.parametrize("x", [1, 2, 3, B - 1, B, B + 1, 2 * B + 1, 2_000_003])
+def test_lattice_blocks_match_a_row_scan(x):
+    blocks = list(iter_lattice_blocks(x))
+    a, b, n = (np.concatenate([blk[i] for blk in blocks]) for i in range(3))
+    assert np.array_equal(n, a * a + a * b + b * b)
+    got = np.stack([a, b], axis=1)
+    assert np.array_equal(_by_point(got), _by_point(_row_scan(x)))
+
+
+def test_lattice_blocks_are_disjoint_increasing_norm_bands():
+    x = 2_000_003
+    blocks = list(iter_lattice_blocks(x))
+    assert len(blocks) == -(-x // B)  # no band up to x is empty
+    for k, (_, _, n) in enumerate(blocks):
+        assert k * B < n.min() and n.max() <= min((k + 1) * B, x)
+    for (_, _, n1), (_, _, n2) in zip(blocks, blocks[1:]):
+        assert n1.max() < n2.min()
+
+
+def test_row_ends_exact_where_the_discriminant_is_a_square():
+    # 4v - 3b^2 = k^2 - j for j = 0..8: a perfect square, one less than
+    # one, and the near misses that a float root rounds across k once
+    # 4v passes 2^53 (there the float of k^2 - 1 is k^2).  The
+    # discriminant is b^2 mod 4, so each d is met by the rows of b's parity.
+    cases = []
+    for k in (1, 2, 3, 1000, 2**26 - 1, 2**26, 2**26 + 1, 10**8 - 7, 3 * 10**8 + 1, 3 * 10**8 + 2):
+        for d in (k * k - j for j in range(9) if j <= k * k):
+            cases += [(b, (d + 3 * b * b) // 4) for b in range(-3, 4) if (d - b * b) % 4 == 0]
+    assert len(cases) >= 150
+    for b, v in cases:
+        want = (math.isqrt(4 * v - 3 * b * b) - b) // 2
+        assert int(factor._row_ends(np.array([b], dtype=np.int64), v)[0]) == want, (b, v)
+    # every row of one band edge at once
+    v = 2 * B
+    bs = np.arange(-math.isqrt(v // 3), math.isqrt(v // 3) + 1, dtype=np.int64)
+    want = [(math.isqrt(4 * v - 3 * b * b) - b) // 2 for b in bs.tolist()]
+    assert factor._row_ends(bs, v).tolist() == want
 
 
 def test_gauss_circle_constant():
