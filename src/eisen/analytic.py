@@ -25,18 +25,14 @@ whose integrand is manifestly symmetric under s -> 1-s.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-
-import numpy as np
 
 from . import expsum, factor
 
 # the Gaussian decay constant of theta, and also the average of r_Q
 C_THETA = 2.0 * math.pi / math.sqrt(3.0)
 _LN2 = math.log(2.0)
-
-# 20-point Gauss-Legendre nodes and weights on [-1, 1], for xi_integral
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
 
 
 def _check_finite(s: complex) -> complex:
@@ -132,10 +128,12 @@ def _sector_theta(t, a: int, R: int, signed: bool = True):
     mu^{6a} is the same on all six associates (w^{6a} = 1), so the sum
     is 6 times the sector sum, plus the mu = 0 term 1 when a = 0.  Terms
     are evaluated in polar form exp(3a log n - ct n) cos(6a arg mu), so
-    the n^{3a} growth never overflows, and summed in the fixed (norm,
-    angle) order for reproducibility.  With signed=False the cosines are
-    dropped, which bounds |theta|.
+    the n^{3a} growth overflows only where a term itself passes the
+    double range (the sum is then not finite, which theta rejects), and
+    summed in the fixed (norm, angle) order for reproducibility.  With
+    signed=False the cosines are dropped, which bounds |theta|.
     """
+    import numpy as np
     norms, angs = factor.lattice_norms_angles(R)
     t = np.asarray(t, dtype=np.float64)
     terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t[..., None] * norms)
@@ -153,7 +151,13 @@ def theta(t: float, a: int, tol: float = 1e-12) -> float:
         raise ValueError("a >= 0 required")
     if tol <= 0:
         raise ValueError("tol > 0 required")
-    return float(_sector_theta(t, a, _theta_radius(t, a, tol)))
+    R = _theta_radius(t, a, tol)  # rejects too small a t before numpy loads
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        val = float(_sector_theta(t, a, R))
+    if not math.isfinite(val):
+        raise ValueError(f"theta at t = {t:g}, a = {a} overflows double precision; use a smaller a or larger t")
+    return val
 
 
 def _theta_abs_bound(a: int, R: int) -> float:
@@ -184,6 +188,7 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
     with empirical constants (x^{1/3} fluctuation for a = 0, x^{1/2}
     for a != 0).
     """
+    import numpy as np
     s = _check_finite(s)
     sigma = s.real
     if sigma < 1.1:
@@ -217,6 +222,14 @@ def l_dirichlet(s: complex, a: int, tol: float = 1e-9) -> complex:
     return l_dirichlet_with_error(s, a, tol)[0]
 
 
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre_20():
+    """20-point Gauss-Legendre nodes and weights on [-1, 1] (0.45 ms to
+    compute, about half of a typical xi_integral, so kept)."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(20)
+
+
 def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
     """Completed xi(s, chi^{6a}) by the integral over [1, inf).
 
@@ -226,6 +239,7 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
     scaling; where it cancels to below 1e-13 of the integral of |f|
     (large |Im s| with large a) the result is only good to that roundoff.
     """
+    import numpy as np
     s = _check_finite(s)
     if not (1 <= a <= 8):
         raise ValueError("a must lie in 1..8")
@@ -247,12 +261,13 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
     # P doubled until two sums agree within tol/4 or, where that is below
     # double-precision roundoff, within 1e-13 of the integral of |f|
     P = max(4, math.ceil((V - 1.0) * (1.0 + abs(s.imag) / 4.0)))
+    gl_x, gl_w = _gauss_legendre_20()
     prev = None
     for _ in range(9):  # the starting P and at most 8 doublings
         h = (V - 1.0) / P
         mid = 1.0 + h * (np.arange(P) + 0.5)
-        v = (mid[:, None] + (h / 2.0) * _GL_X).ravel()
-        w = np.tile((h / 2.0) * _GL_W, P)
+        v = (mid[:, None] + (h / 2.0) * gl_x).ravel()
+        w = np.tile((h / 2.0) * gl_w, P)
         lv = np.log(v)
         f = _sector_theta(v, a, R) * (np.exp((s + 3 * a - 1) * lv) + np.exp((-s + 3 * a) * lv))
         val = complex(np.dot(w, f))

@@ -3,7 +3,8 @@
 One record per result line: JSON objects by default, CSV rows with
 --format csv (meant for piping point dumps into plotting tools).
 Exit status is 0 on success, 2 for bad usage or a rejected argument,
-and 1 for an internal failure.
+and 1 for an internal failure.  Each subcommand imports the one module it
+calls, so only the lattice statistics pay for loading numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import json
 import math
 import os
 import sys
-
-from . import analytic, angles, discrepancy, expsum, factor
 
 
 def _round15(v: float) -> float:
@@ -36,7 +35,7 @@ class _Output:
             rec = {"command": self.command, "params": params, "result": result}
             if error_estimate is not None:
                 rec["error_estimate"] = error_estimate
-            print(json.dumps(rec))
+            print(json.dumps(rec, allow_nan=False))
             return
         row = dict(result) if isinstance(result, dict) else {"result": result}
         if error_estimate is not None:
@@ -67,16 +66,19 @@ def _threads(args) -> int:
 
 
 def _cmd_points(args, out: _Output) -> None:
+    from . import factor
     pts = factor.circle_points(args.n)
     for z in pts.points:
         out.emit({"n": args.n}, {"a": z.a, "b": z.b, "angle": _round15(z.arg())})
 
 
 def _cmd_rq(args, out: _Output) -> None:
+    from . import factor
     out.emit({"n": args.n}, factor.r_q(args.n))
 
 
 def _cmd_factor(args, out: _Output) -> None:
+    from . import factor
     f = factor.factor_eisenstein(args.n)
     result = {
         "n": f.n,
@@ -92,6 +94,7 @@ def _cmd_factor(args, out: _Output) -> None:
 
 
 def _cmd_expsum(args, out: _Output) -> None:
+    from . import expsum
     val = expsum.exp_sum(args.n, args.A).value
     out.emit(
         {"n": args.n, "A": args.A},
@@ -105,6 +108,7 @@ def _default_checkpoints(x: int) -> list[int]:
 
 
 def _cmd_avg_expsum(args, out: _Output) -> None:
+    from . import expsum
     if args.checkpoints:
         cks = sorted(int(c) for c in args.checkpoints.split(","))
     else:
@@ -120,6 +124,7 @@ def _cmd_avg_expsum(args, out: _Output) -> None:
 
 
 def _cmd_sector(args, out: _Output) -> None:
+    from . import angles
     q = angles.SectorQuery(args.x, args.phi1, args.phi2)
     observed, expected = angles.sector_count(q)
     if expected == 0.0:
@@ -135,6 +140,7 @@ def _cmd_sector(args, out: _Output) -> None:
 
 
 def _cmd_chi_sum(args, out: _Output) -> None:
+    from . import angles
     val = angles.chi_prime_sum(args.x, args.a)
     out.emit(
         {"x": args.x, "a": args.a},
@@ -147,11 +153,13 @@ def _cmd_chi_sum(args, out: _Output) -> None:
 
 
 def _cmd_equi_stat(args, out: _Output) -> None:
+    from . import angles
     stat, count = angles._equi_stat(args.x)
     out.emit({"x": args.x}, {"statistic": _round15(stat), "ideals": int(count)})
 
 
 def _cmd_bad_circle(args, out: _Output) -> None:
+    from . import angles
     bc = angles.bad_circle(args.eps, args.k)
     offs = max(abs(math.remainder(z.arg(), math.pi / 3.0)) for z in bc.points.points)
     out.emit(
@@ -167,6 +175,7 @@ def _cmd_bad_circle(args, out: _Output) -> None:
 
 
 def _cmd_discrepancy(args, out: _Output) -> None:
+    from . import discrepancy
     res = discrepancy.discrepancy_exact(args.n)
     result = {
         "count": res.count,
@@ -183,6 +192,7 @@ def _cmd_discrepancy(args, out: _Output) -> None:
 
 
 def _cmd_survey(args, out: _Output) -> None:
+    from . import discrepancy
     rep = discrepancy.discrepancy_survey(args.x, args.gamma, threads=_threads(args))
     out.emit(
         {"x": args.x, "gamma": args.gamma},
@@ -195,22 +205,26 @@ def _cmd_survey(args, out: _Output) -> None:
 
 
 def _cmd_bq(args, out: _Output) -> None:
+    from . import discrepancy
     out.emit({"x": args.x}, discrepancy.b_q(args.x))
 
 
 def _cmd_theta(args, out: _Output) -> None:
+    from . import analytic
     tol = args.tol if args.tol is not None else 1e-12
     val = analytic.theta(args.t, args.a, tol)
     out.emit({"t": args.t, "a": args.a}, _round15(val), error_estimate=tol)
 
 
 def _cmd_theta_check(args, out: _Output) -> None:
+    from . import analytic
     tol = args.tol if args.tol is not None else 1e-12
     r = analytic.theta_transform_residual(args.t, args.a, tol)
     out.emit({"t": args.t, "a": args.a}, {"residual": _round15(r)})
 
 
 def _cmd_lfunc(args, out: _Output) -> None:
+    from . import analytic
     tol = args.tol if args.tol is not None else 1e-9
     s = complex(args.sigma, args.t)
     val, err = analytic.l_dirichlet_with_error(s, args.a, tol)
@@ -222,6 +236,7 @@ def _cmd_lfunc(args, out: _Output) -> None:
 
 
 def _cmd_xi_check(args, out: _Output) -> None:
+    from . import analytic
     tol = args.tol if args.tol is not None else 1e-9
     s = complex(args.re, args.im)
     xi = analytic.xi_integral(s, args.a, tol)
@@ -237,6 +252,7 @@ def _cmd_xi_check(args, out: _Output) -> None:
 
 
 def _cmd_li(args, out: _Output) -> None:
+    from . import analytic
     out.emit({"x": args.x}, _round15(analytic.li(args.x)))
 
 

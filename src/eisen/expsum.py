@@ -20,12 +20,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from . import factor
 from .factor import circle_points, factor_int, split_prime_generator
+
+if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,7 @@ def circle_sums(x: int, A: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
     theta), bucketed by norm, and S_im is exactly zero.  `threads` is
     accepted for compatibility and ignored.
     """
+    import numpy as np
     if x < 1:
         raise ValueError("x >= 1 required")
     out_re = np.zeros(x + 1)
@@ -113,12 +115,14 @@ def _band_cos_sums(x: int, A: int) -> Iterator[tuple[int, np.ndarray]]:
     """Per enumerator band, (n0, c) with c[i] the sum of cos(A theta) over
     the sector points of norm n0 + i; the bands are disjoint, so each c
     is the whole sector sum of its norms, S(n, A) / 6 when 6 | A."""
+    import numpy as np
     for a, b, n in factor.iter_lattice_blocks(x):
         n0 = int(n.min())
         yield n0, np.bincount(n - n0, weights=np.cos(A * factor.sector_angles(a, b)))
 
 
 def _checkpoint_means(abs_s: np.ndarray, checkpoints: list[int]) -> list[tuple[int, float]]:
+    import numpy as np
     # extended-precision running total over the segments between checkpoints
     means = []
     total = np.longdouble(0.0)
@@ -140,6 +144,7 @@ def avg_exp_sum(
     6 does not divide A every S(n, A) vanishes identically and the means
     are exact zeros.  `threads` is accepted for compatibility and ignored.
     """
+    import numpy as np
     if x < 1 or x > 10**7:
         raise ValueError("x must be in [1, 1e7]")
     if A == 0:
@@ -154,9 +159,8 @@ def avg_exp_sum(
     if A % 6 != 0:
         means = [(cp, 0.0) for cp in cps]
         return AverageDecayReport(A, tuple(means), float("nan"))
-    s_re, s_im = circle_sums(cps[-1], A)
-    abs_s = np.hypot(s_re, s_im)
-    means = _checkpoint_means(abs_s, cps)
+    s_re, _ = circle_sums(cps[-1], A)  # S_im is exactly zero
+    means = _checkpoint_means(np.abs(s_re, out=s_re), cps)
     pts = [(math.log(math.log(cp)), math.log(m)) for cp, m in means if cp >= 1000 and m > 0]
     if len(pts) >= 2:
         xs = np.array([p[0] for p in pts])
@@ -176,13 +180,14 @@ def katai_bound_diag(x: int, A: int) -> tuple[float, float]:
     The interesting quantity is the ratio lhs/rhs, which should stay of
     bounded order as x grows.
     """
+    import numpy as np
     if x < 16:
         raise ValueError("x >= 16 required")
     if A == 0 or A % 6 != 0:
         raise ValueError("katai diagnostic needs A a nonzero multiple of 6")
     a = A // 6
-    s_re, s_im = circle_sums(x, A)
-    lhs = float(np.sum(np.hypot(s_re, s_im), dtype=np.longdouble) / 6.0)
+    s_re, _ = circle_sums(x, A)  # S_im is exactly zero
+    lhs = float(np.sum(np.abs(s_re, out=s_re), dtype=np.longdouble) / 6.0)
     p_arr, t_arr = factor.split_prime_angles(x)
     prime_sum = float(np.sum(2.0 * np.abs(np.cos(6.0 * a * t_arr)) / p_arr))
     if x >= 3:

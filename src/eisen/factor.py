@@ -22,12 +22,11 @@ pi_p and conj(pi_p) and then applying the six units.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import (
     EisensteinInt,
@@ -37,6 +36,9 @@ from .core import (
     canonical_associate,
     eis_conj,
 )
+
+if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
+    import numpy as np
 
 # ---------------------------------------------------------------------------
 # rational prime machinery
@@ -72,6 +74,7 @@ def is_prime(n: int) -> bool:
 
 def _sieve(x: int) -> np.ndarray:
     """Boolean primality table 0..x by a plain sieve of Eratosthenes (not cached)."""
+    import numpy as np
     sieve = np.ones(x + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(x) + 1):
@@ -82,12 +85,22 @@ def _sieve(x: int) -> np.ndarray:
 
 def primes_up_to(x: int) -> np.ndarray:
     """Array of primes <= x."""
+    import numpy as np
     if x < 2:
         return np.empty(0, dtype=np.int64)
     return np.nonzero(_sieve(x))[0].astype(np.int64)
 
 
-_SMALL_PRIMES = [int(p) for p in primes_up_to(1 << 16)]
+def _small_primes(x: int) -> list[int]:
+    """Primes <= x as a list, by a bytearray sieve (no numpy)."""
+    sieve = bytearray([1]) * (x + 1)
+    for p in range(2, math.isqrt(x) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, x + 1, p)))
+    return list(itertools.compress(range(2, x + 1), sieve[2:]))
+
+
+_SMALL_PRIMES = _small_primes(1 << 16)
 
 
 def _pollard_rho(n: int) -> int:
@@ -419,6 +432,7 @@ def sector_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     arctan2 can land one ulp below -pi/6 on the boundary ray a + 2b = 0,
     so the result is clamped to the sector.
     """
+    import numpy as np
     return np.maximum(np.arctan2(b * (SQRT3 / 2.0), a + b / 2.0), -math.pi / 6.0)
 
 
@@ -432,6 +446,7 @@ def _row_ends(b: np.ndarray, v: int) -> np.ndarray:
     rounding is monotone and isqrt(d) is a double, so the root never
     drops below it, but past 2^53 the float of k^2 - j can be k^2.  One
     downward step makes it exact."""
+    import numpy as np
     d = np.maximum(4 * v - 3 * b * b, 0)
     r = np.sqrt(d).astype(np.int64)
     r -= r * r > d
@@ -456,6 +471,7 @@ def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
     a = max(b + 1, -2b), and the band holds its a in (A(b, lo), A(b, hi)],
     A(b, v) = (isqrt(4v - 3b^2) - b) // 2.
     """
+    import numpy as np
     for lo in range(0, x, _BAND_NORMS):
         hi = min(lo + _BAND_NORMS, x)
         bmax = math.isqrt(hi // 3)  # the rows with 3b^2 <= hi
@@ -480,7 +496,7 @@ def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
     and slices it for a smaller x; a larger x is built and not kept."""
     kept = _tables.get(name)
     if kept is not None and kept[0] >= x:
-        k = np.searchsorted(kept[1], x, side="right")
+        k = kept[1].searchsorted(x, side="right")
         return kept[1][:k], kept[2][:k]
     keys, values = build(x)
     if x <= _CACHE_MAX:
@@ -489,6 +505,7 @@ def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_lattice(x: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     # the bands are disjoint and increasing in norm, so sorting each band
     # sorts the whole table
     norms = [np.empty(0, dtype=np.int64)]
@@ -512,6 +529,7 @@ def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     prime = _sieve(x)
     ps = [np.empty(0, dtype=np.int64)]
     ts = [np.empty(0)]

@@ -142,6 +142,8 @@ def test_theta_validation():
         theta(1.0, 0, tol=0.0)
     with pytest.raises(ValueError):
         theta(1e-5, 1)  # would need over 1e6 shells
+    with pytest.raises(ValueError, match="overflows"):
+        theta(0.3, 60)  # n^{3a} e^{-ctn} passes the double range
 
 
 def test_transformation_law():

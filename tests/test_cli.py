@@ -104,13 +104,13 @@ def test_xi_check_record(capsys):
 
 def test_xi_check_evaluates_xi_twice(capsys, monkeypatch):
     calls = []
-    xi_integral = cli.analytic.xi_integral
+    xi_integral = eisen.analytic.xi_integral
 
     def counted(*args):
         calls.append(args)
         return xi_integral(*args)
 
-    monkeypatch.setattr(cli.analytic, "xi_integral", counted)
+    monkeypatch.setattr(eisen.analytic, "xi_integral", counted)
     assert run(["xi-check", "3.2", "5", "1"]) == 0
     assert len(calls) == 2
     assert capsys.readouterr().out == (
@@ -121,13 +121,13 @@ def test_xi_check_evaluates_xi_twice(capsys, monkeypatch):
 
 def test_equi_stat_builds_the_ideal_angles_once(capsys, monkeypatch):
     calls = []
-    ideal_angles = cli.angles._ideal_angles
+    ideal_angles = eisen.angles._ideal_angles
 
     def counted(x):
         calls.append(x)
         return ideal_angles(x)
 
-    monkeypatch.setattr(cli.angles, "_ideal_angles", counted)
+    monkeypatch.setattr(eisen.angles, "_ideal_angles", counted)
     assert run(["equi-stat", "100000"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == (
@@ -196,6 +196,18 @@ def test_rejected_arguments_exit_2(capsys):
     assert captured.err.startswith("error:") and captured.out == ""
     # Li(2) = 0 leaves the observed/expected ratio undefined
     assert run(["sector", "2", "-0.1", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    # a theta beyond the double range is not finite
+    assert run(["theta", "0.3", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_json_writer_refuses_non_finite_values(capsys, monkeypatch):
+    # a NaN or an infinity would print a record that is not JSON
+    monkeypatch.setattr(eisen.analytic, "li", lambda x: float("nan"))
+    assert run(["li", "100"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
 

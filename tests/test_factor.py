@@ -50,6 +50,10 @@ def test_primes_up_to():
     ps = primes_up_to(10**5)
     assert len(ps) == 9592
     assert all(is_prime(int(p)) for p in ps[:100])
+    # the trial-division primes come from a bytearray sieve, not from numpy
+    assert factor._small_primes(10**5) == ps.tolist()
+    assert factor._SMALL_PRIMES == primes_up_to(1 << 16).tolist()
+    assert [factor._small_primes(x) for x in range(4)] == [[], [], [2], [2, 3]]
 
 
 def test_factor_int_examples():

@@ -1,12 +1,16 @@
 """Invariant checks are explicit raises, so they survive python -O; the
-package runs on numpy and the standard library alone; its one module-level
-cache is the bounded table cache in factor."""
+package runs on numpy and the standard library alone, and loads numpy only
+for the lattice statistics; its one module-level cache is the bounded table
+cache in factor."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import eisen
 
@@ -42,9 +46,36 @@ def test_one_module_level_cache():
     assert _module_dicts("_split_record_cache: dict[int, object] = {}\nx = dict()") == ["_split_record_cache", "x"]
 
 
-def test_import_loads_no_scipy():
-    code = "import sys, eisen, eisen.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded(code: str) -> set[str]:
+    """Top-level packages loaded in a fresh interpreter after running code."""
+    code += "\nimport sys; print(*sorted({m.split('.')[0] for m in sys.modules}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_import_loads_no_scipy():
+    # scipy is never loaded, and numpy only by the lattice statistics
+    everything = _loaded("from eisen import *")
+    assert "numpy" in everything and "scipy" not in everything
+    assert {"numpy", "scipy"}.isdisjoint(_loaded("import eisen, eisen.cli"))
+    for argv in (["rq", "441"], ["points", "4921"], ["factor", "997002999"], ["expsum", "4921", "6"], ["li", "1e6"]):
+        assert {"numpy", "scipy"}.isdisjoint(_loaded(f"from eisen import cli; cli.run({argv!r})")), argv
+
+
+def test_lazy_namespace_resolves_every_name_and_submodule():
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            assert getattr(eisen, path.stem) is importlib.import_module(f"eisen.{path.stem}")
+    for name in eisen.__all__:
+        owner = eisen._OWNER.get(name)
+        value = getattr(eisen, name)
+        if owner is not None:
+            assert value is getattr(importlib.import_module(f"eisen.{owner}"), name), name
+    star: dict = {}
+    exec("from eisen import *", star)
+    assert set(eisen.__all__) <= set(star) and set(eisen.__all__) <= set(dir(eisen))
+    assert "__all__" in dir(eisen)
+    with pytest.raises(AttributeError):
+        eisen.no_such_name
