@@ -224,8 +224,8 @@ def l_dirichlet(s: complex, a: int, tol: float = 1e-9) -> complex:
 
 @functools.lru_cache(maxsize=1)
 def _gauss_legendre_20():
-    """20-point Gauss-Legendre nodes and weights on [-1, 1] (0.45 ms to
-    compute, about half of a typical xi_integral, so kept)."""
+    """20-point Gauss-Legendre nodes and weights on [-1, 1]; kept, since
+    computing them costs about as much as a typical xi_integral."""
     import numpy as np
     return np.polynomial.legendre.leggauss(20)
 
