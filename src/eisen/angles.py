@@ -31,32 +31,43 @@ from .factor import CirclePointSet, circle_points, primes_up_to
 PI_6 = math.pi / 6.0
 
 
-def _ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, angles) of all prime ideals with norm <= x, unsorted:
-    +theta_p and -theta_p for each split p <= x, 0 for each inert q with
-    q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
+def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The prime ideals of norm <= x in two sorted parts: the split primes
+    p <= x with their theta_p, and the other ideals as (norms, angles),
+    the ramified 3 at -pi/6 (when x >= 3) then the inert q^2 <= x at 0."""
     if x < 2:
-        return np.empty(0, dtype=np.int64), np.empty(0)
+        empty = np.empty(0, dtype=np.int64), np.empty(0)
+        return *empty, *empty
     if x > 10**8:
         raise ValueError("ideal enumeration capped at 1e8")
     xi = math.floor(x)
     p_arr, t_arr = factor.split_prime_angles(xi)
     inert_q = primes_up_to(math.isqrt(xi))
     inert_q = inert_q[inert_q % 3 == 2]
-    norms = [p_arr, p_arr, inert_q * inert_q]
-    thetas = [t_arr, -t_arr, np.zeros(len(inert_q))]
-    if x >= 3:
-        norms.append(np.array([3], dtype=np.int64))
-        thetas.append(np.array([-PI_6]))
-    return np.concatenate(norms), np.concatenate(thetas)
+    ram = 1 if x >= 3 else 0
+    other_n = np.concatenate((np.array([3] * ram, dtype=np.int64), inert_q * inert_q))
+    other_t = np.concatenate((np.array([-PI_6] * ram), np.zeros(len(inert_q))))
+    return p_arr, t_arr, other_n, other_t
+
+
+def _ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, angles) of all prime ideals with norm <= x, unsorted:
+    +theta_p and -theta_p for each split p <= x, 0 for each inert q with
+    q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
+    p_arr, t_arr, other_n, other_t = _ideal_parts(x)
+    return np.concatenate((p_arr, p_arr, other_n)), np.concatenate((t_arr, -t_arr, other_t))
 
 
 def _ideal_arrays(x: float) -> tuple[np.ndarray, np.ndarray]:
     """_ideal_angles(x) sorted by norm, the conjugate pair above a split
-    p ordered +theta first."""
-    n_all, t_all = _ideal_angles(x)
-    order = np.lexsort((-t_all, n_all))
-    return n_all[order], t_all[order]
+    p ordered +theta first.  A merge, not a sort: the pairs interleave
+    the sorted split primes, and the ramified and inert norms, which no
+    split prime shares, go in at their searchsorted places."""
+    p_arr, t_arr, other_n, other_t = _ideal_parts(x)
+    norms = np.repeat(p_arr, 2)
+    thetas = np.stack((t_arr, -t_arr), axis=1).ravel()
+    at = norms.searchsorted(other_n)
+    return np.insert(norms, at, other_n), np.insert(thetas, at, other_t)
 
 
 def prime_ideals_up_to(x: float) -> list[tuple[int, float]]:

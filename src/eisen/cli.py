@@ -124,11 +124,11 @@ def _cmd_avg_expsum(args, out: _Output) -> None:
 
 
 def _cmd_sector(args, out: _Output) -> None:
+    if args.x == 2:  # checked before angles loads numpy and the prime table
+        raise ValueError("expected count is 0 at x = 2 (Li(2) = 0), so the ratio is undefined")
     from . import angles
     q = angles.SectorQuery(args.x, args.phi1, args.phi2)
     observed, expected = angles.sector_count(q)
-    if expected == 0.0:
-        raise ValueError(f"expected count is 0 at x = {args.x} (Li(2) = 0), so the ratio is undefined")
     out.emit(
         {"x": args.x, "phi1": args.phi1, "phi2": args.phi2},
         {

@@ -121,8 +121,11 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
 
 def representable_sieve(x: int) -> np.ndarray:
     """Boolean table t[0..x]: t[n] iff r_Q(n) > 0, i.e. iff n is the norm of
-    a lattice point; every nonzero point has an associate in the sector,
-    so the table marks the norms that factor.iter_lattice_blocks(x) yields."""
+    a lattice point.  A circle's points are closed under the six units and
+    conjugation, so every populated circle has a point in the half sector
+    0 <= arg <= pi/6 (its ray a = b carries the norms 3b^2 of the -pi/6
+    ray), and the table marks the norms that factor.iter_lattice_blocks(x)
+    yields."""
     if x < 1:
         raise ValueError("x >= 1")
     ok = np.zeros(x + 1, dtype=bool)

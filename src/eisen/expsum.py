@@ -95,8 +95,11 @@ def circle_sums(x: int, A: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
     to 0 unless 6 | A and to 6 e^{iA theta} if it does; conjugation then
     makes S real.  So both arrays are exact zeros for 6 not dividing A,
     and otherwise S_re = 6 * sum over the fundamental sector of cos(A
-    theta), bucketed by norm, and S_im is exactly zero.  `threads` is
-    accepted for compatibility and ignored.
+    theta), bucketed by norm, and S_im is exactly zero.  The sector sum
+    is read from the half sector, each point weighted by the number of
+    sector points it stands for (2 inside, 1 on the rays theta = 0 and
+    pi/6; see _band_cos_sums).  `threads` is accepted for compatibility
+    and ignored.
     """
     import numpy as np
     if x < 1:
@@ -113,12 +116,21 @@ def circle_sums(x: int, A: int, threads: int = 1) -> tuple[np.ndarray, np.ndarra
 
 def _band_cos_sums(x: int, A: int) -> Iterator[tuple[int, np.ndarray]]:
     """Per enumerator band, (n0, c) with c[i] the sum of cos(A theta) over
-    the sector points of norm n0 + i; the bands are disjoint, so each c
-    is the whole sector sum of its norms, S(n, A) / 6 when 6 | A."""
+    the fundamental-sector points of norm n0 + i; the bands are disjoint,
+    so each c is the whole sector sum of its norms, S(n, A) / 6 when 6 | A.
+
+    Read from the half sector with weight w = 2 - [b = 0] - [a = b],
+    which there is [a > b] + [b > 0]: an inner point stands for itself
+    and its mirror at -theta, and for 6 | A cos(A theta) is even and
+    takes one value at +-pi/6, so each ray point stands for the one
+    sector point it maps to.
+    """
     import numpy as np
     for a, b, n in factor.iter_lattice_blocks(x):
         n0 = int(n.min())
-        yield n0, np.bincount(n - n0, weights=np.cos(A * factor.sector_angles(a, b)))
+        w = np.add(a > b, b > 0, dtype=np.float64)
+        w *= np.cos(A * factor.sector_angles(a, b))
+        yield n0, np.bincount(n - n0, weights=w)
 
 
 def _checkpoint_means(abs_s: np.ndarray, checkpoints: list[int]) -> list[tuple[int, float]]:

@@ -420,17 +420,19 @@ def circle_points_bruteforce(n: int) -> CirclePointSet:
 # ---------------------------------------------------------------------------
 # fundamental-sector enumeration (shared by the statistics modules)
 
-_BLOCK_POINTS = 1 << 17  # sector points per band of iter_lattice_blocks
-# the sector holds pi / (3 sqrt 3) ~ 0.605 points per unit of norm, so a
-# band of this many norms holds about _BLOCK_POINTS points
-_BAND_NORMS = int(_BLOCK_POINTS * 3.0 * SQRT3 / math.pi)
+_BLOCK_POINTS = 1 << 16  # half-sector points per band of iter_lattice_blocks
+# the half sector holds pi / (6 sqrt 3) ~ 0.302 points per unit of norm,
+# so a band of this many norms holds about _BLOCK_POINTS points (bands
+# twice as wide measured slower: a band's bincount then outgrows the cache)
+_BAND_NORMS = int(_BLOCK_POINTS * 6.0 * SQRT3 / math.pi)
 
 
 def sector_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angles of the sector points a + b*w, in [-pi/6, pi/6).
+    """Angles of the sector points a + b*w, clamped below at -pi/6.
 
     arctan2 can land one ulp below -pi/6 on the boundary ray a + 2b = 0,
-    so the result is clamped to the sector.
+    so the result is clamped there; on the ray a = b of the half sector
+    it can land one ulp above pi/6, which is left as it is.
     """
     import numpy as np
     return np.maximum(np.arctan2(b * (SQRT3 / 2.0), a + b / 2.0), -math.pi / 6.0)
@@ -454,29 +456,33 @@ def _row_ends(b: np.ndarray, v: int) -> np.ndarray:
 
 
 def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield int64 arrays (a, b, n) covering the fundamental sector to norm x.
+    """Yield int64 arrays (a, b, n) covering the half sector to norm x.
 
-    The sector holds the points a + b*w with a > b, a + 2b >= 0 and
-    0 < n = a^2 + ab + b^2 <= x, i.e. arg in [-pi/6, pi/6).  Every nonzero
-    lattice point has exactly one associate there, so the sector points
-    times the six units give every point of norm <= x exactly once.
+    The half sector holds the points a + b*w with a >= b >= 0 and
+    0 < n = a^2 + ab + b^2 <= x, i.e. arg in [0, pi/6], both rays
+    included.  The fundamental sector [-pi/6, pi/6) is the half sector,
+    less its ray a = b, plus the mirror images (a + b, -b) of the points
+    with b >= 1; the mirror of (b, b) is its associate (2b, -b) on the
+    -pi/6 ray.  Every circle's point set is closed under the six units
+    and conjugation, so a statistic fixed by both reads the half sector
+    with weight 2 on the points strictly inside (0, pi/6) and 1 on the
+    two rays (see expsum._band_cos_sums).
 
-    Band contract: each block holds exactly the sector points with norm
-    in one band (lo, hi], where lo runs through the multiples of
-    B = _BAND_NORMS (about 2^17 points) below x and hi = min(lo + B, x).
+    Band contract: each block holds exactly the half-sector points with
+    norm in one band (lo, hi], where lo runs through the multiples of
+    B = _BAND_NORMS (about 2^16 points) below x and hi = min(lo + B, x).
     So the blocks are disjoint and increasing in norm, all points of one
     norm lie in one block, and a band without points yields no block.
-    Within a block the points run through the rows in increasing b, and
-    along a row in increasing a (so increasing n): row b starts at
-    a = max(b + 1, -2b), and the band holds its a in (A(b, lo), A(b, hi)],
-    A(b, v) = (isqrt(4v - 3b^2) - b) // 2.
+    Within a block the points run through the rows b = 0..isqrt(hi // 3)
+    in increasing b, and along a row in increasing a (so increasing n):
+    row b starts at a = max(b, 1), and the band holds its a in
+    (A(b, lo), A(b, hi)], A(b, v) = (isqrt(4v - 3b^2) - b) // 2.
     """
     import numpy as np
     for lo in range(0, x, _BAND_NORMS):
         hi = min(lo + _BAND_NORMS, x)
-        bmax = math.isqrt(hi // 3)  # the rows with 3b^2 <= hi
-        b = np.arange(-bmax, bmax + 1, dtype=np.int64)
-        first = np.maximum(np.maximum(b + 1, -2 * b), _row_ends(b, lo) + 1)
+        b = np.arange(math.isqrt(hi // 3) + 1, dtype=np.int64)  # the rows with 3b^2 <= hi
+        first = np.maximum(np.maximum(b, 1), _row_ends(b, lo) + 1)
         count = np.maximum(_row_ends(b, hi) - first + 1, 0)
         total = int(count.sum())
         if total == 0:
@@ -506,23 +512,32 @@ def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
 
 def _build_lattice(x: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
-    # the bands are disjoint and increasing in norm, so sorting each band
-    # sorts the whole table
+    # Each half-sector band becomes the fundamental-sector band: the rows
+    # b >= 1, reversed and mirrored to rows -b (the a = b ray lands on the
+    # -pi/6 ray; arctan2 is odd, so a mirror's angle is -t, clamped as
+    # sector_angles clamps), then the rows with a > b.  That puts the rows in
+    # increasing b, and on one circle the angle grows with b, so a stable
+    # sort on n orders the band by (norm, angle).  The bands are disjoint
+    # and increasing in norm, so sorting each band sorts the whole table.
     norms = [np.empty(0, dtype=np.int64)]
     angles = [np.empty(0)]
     for a, b, n in iter_lattice_blocks(x):
         t = sector_angles(a, b)
-        order = np.lexsort((t, n))
+        low = np.flatnonzero(b > 0)[::-1]
+        high = np.flatnonzero(a > b)
+        n = np.concatenate((n[low], n[high]))
+        t = np.concatenate((np.maximum(-t[low], -math.pi / 6.0), t[high]))
+        order = np.argsort(n, kind="stable")
         norms.append(n[order])
         angles.append(t[order])
     return np.concatenate(norms), np.concatenate(angles)
 
 
 def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fundamental-sector points of norm <= x (see iter_lattice_blocks)
+    """The fundamental-sector points of norm <= x, arg in [-pi/6, pi/6),
     as (norms, angles), sorted by (norm, angle); one point per associate
-    class, so circle n holds r_Q(n)/6 of them.  Materialized and cached;
-    x <= _CACHE_MAX."""
+    class, so circle n holds r_Q(n)/6 of them.  Rebuilt from the half
+    sector of iter_lattice_blocks; materialized and cached; x <= _CACHE_MAX."""
     if x > _CACHE_MAX:
         raise ValueError("materialized enumeration capped at 4e6")
     return _prefix_cached("pts", x, _build_lattice)
@@ -534,7 +549,7 @@ def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     ps = [np.empty(0, dtype=np.int64)]
     ts = [np.empty(0)]
     for a, b, n in iter_lattice_blocks(x):
-        keep = np.flatnonzero((b >= 1) & prime[n])
+        keep = np.flatnonzero((b >= 1) & (a > b) & prime[n])
         keep = keep[np.argsort(n[keep])]  # one point per split prime: no ties
         ps.append(n[keep])
         ts.append(sector_angles(a[keep], b[keep]))
@@ -544,8 +559,8 @@ def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
 def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (p, theta_p) for every split prime p <= x, sorted by p.
 
-    Keeps the sector points with b >= 1 (so a > b >= 1) whose norm is a
-    prime; each split prime has exactly one such representative, and its
+    Keeps the half-sector points with a > b >= 1 whose norm is a prime;
+    each split prime has exactly one such representative, and its
     angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
     lookup.  Cached up to _CACHE_MAX; served uncached up to 1e8.
     """

@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from eisen import angles
 from eisen.angles import (
     BadCircle,
     SectorQuery,
@@ -37,6 +39,15 @@ def test_ideal_list_sorted_and_in_range():
     assert all(-PI_6 <= t < PI_6 for _, t in ideals)
     # norms are p (split), q^2 (inert), or 3
     assert (4, 0.0) in ideals and (25, 0.0) in ideals and (121, 0.0) in ideals
+
+
+@pytest.mark.parametrize("x", [2, 3, 4, 49, 50, 12345, 10**6])
+def test_ideal_arrays_merge_equals_the_sort(x):
+    # sorted by norm, +theta before -theta above a split prime
+    n_all, t_all = angles._ideal_angles(x)
+    order = np.lexsort((-t_all, n_all))
+    norms, thetas = angles._ideal_arrays(x)
+    assert np.array_equal(norms, n_all[order]) and np.array_equal(thetas, t_all[order])
 
 
 def test_ideal_enumeration_cap():

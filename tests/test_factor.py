@@ -241,21 +241,26 @@ def test_lattice_enumeration_against_pointwise():
 
 
 def test_lattice_blocks_concatenate_to_full_enumeration():
-    got = sum(int(len(c[0])) for c in iter_lattice_blocks(5000))
-    want = lattice_norms_angles(5000)[0].size
-    assert got == want
+    # a half-sector point stands for 2 - [b = 0] - [a = b] sector points
+    a, b, n = (np.concatenate(arrs) for arrs in zip(*iter_lattice_blocks(5000)))
+    w = 2 - (b == 0) - (a == b)
+    got = np.bincount(n, weights=w, minlength=5001)
+    want = np.bincount(lattice_norms_angles(5000)[0], minlength=5001)
+    assert np.array_equal(got, want)
 
 
 B = factor._BAND_NORMS  # band width of iter_lattice_blocks, in norms
 
 
-def _row_scan(x):
+def _row_scan(x, half=False):
     """The sector points to norm x as (a, b), one row at a time with
-    exact integer roots: the reference for the banded enumerator."""
+    exact integer roots: the fundamental sector arg in [-pi/6, pi/6), or
+    with half=True the half sector a >= b >= 0 of the banded enumerator."""
     rows = [np.empty((0, 2), dtype=np.int64)]
     bmax = math.isqrt(x // 3)
-    for b in range(-bmax, bmax + 1):
-        lo, hi = max(b + 1, -2 * b), (math.isqrt(4 * x - 3 * b * b) - b) // 2
+    for b in range(0 if half else -bmax, bmax + 1):
+        lo = max(b, 1) if half else max(b + 1, -2 * b)
+        hi = (math.isqrt(4 * x - 3 * b * b) - b) // 2
         a = np.arange(lo, hi + 1, dtype=np.int64)
         rows.append(np.stack([a, np.full_like(a, b)], axis=1))
     return np.concatenate(rows)
@@ -265,13 +270,28 @@ def _by_point(ab):
     return ab[np.lexsort((ab[:, 1], ab[:, 0]))]
 
 
-@pytest.mark.parametrize("x", [1, 2, 3, B - 1, B, B + 1, 2 * B + 1, 2_000_003])
+ROW_SCAN_X = [1, 2, 3, B - 1, B, B + 1, 2 * B + 1, 2_000_003]
+
+
+@pytest.mark.parametrize("x", ROW_SCAN_X)
 def test_lattice_blocks_match_a_row_scan(x):
     blocks = list(iter_lattice_blocks(x))
     a, b, n = (np.concatenate([blk[i] for blk in blocks]) for i in range(3))
     assert np.array_equal(n, a * a + a * b + b * b)
     got = np.stack([a, b], axis=1)
-    assert np.array_equal(_by_point(got), _by_point(_row_scan(x)))
+    assert np.array_equal(_by_point(got), _by_point(_row_scan(x, half=True)))
+
+
+@pytest.mark.parametrize("x", ROW_SCAN_X)
+def test_lattice_table_is_the_sorted_full_sector(x, monkeypatch):
+    # the table rebuilt from the half sector is the fundamental-sector
+    # row scan sorted by (norm, angle), bit for bit
+    monkeypatch.setattr(factor, "_tables", {})
+    a, b = _row_scan(x).T
+    n, t = a * a + a * b + b * b, factor.sector_angles(a, b)
+    order = np.lexsort((t, n))
+    norms, angs = lattice_norms_angles(x)
+    assert np.array_equal(norms, n[order]) and np.array_equal(angs, t[order])
 
 
 def test_lattice_blocks_are_disjoint_increasing_norm_bands():

@@ -64,6 +64,13 @@ def test_import_loads_no_scipy():
         assert {"numpy", "scipy"}.isdisjoint(_loaded(f"from eisen import cli; cli.run({argv!r})")), argv
 
 
+def test_sector_rejects_li_2_before_loading_numpy():
+    # Li(2) = 0 leaves the ratio undefined; that is known before the
+    # prime table is built
+    code = "from eisen import cli\nif cli.run(['sector', '2', '-0.1', '0.1']) != 2: raise SystemExit(1)"
+    assert {"numpy", "scipy"}.isdisjoint(_loaded(code))
+
+
 def test_lazy_namespace_resolves_every_name_and_submodule():
     for path in SRC.glob("*.py"):
         if path.stem != "__init__":
