@@ -100,34 +100,6 @@ def test_circle_sums_match_pointwise():
         assert abs(complex(s_re[n], s_im[n]) - v) < 1e-9, n
 
 
-def _full_sector_sums(x, A):
-    """6 * sum of cos(A theta) per norm over the fundamental sector
-    arg in [-pi/6, pi/6), scanned row by row with exact integer roots."""
-    rows = []
-    bmax = math.isqrt(x // 3)
-    for b in range(-bmax, bmax + 1):
-        a = np.arange(max(b + 1, -2 * b), (math.isqrt(4 * x - 3 * b * b) - b) // 2 + 1, dtype=np.int64)
-        rows.append((a, np.full_like(a, b)))
-    a, b = (np.concatenate(c) for c in zip(*rows))
-    n = a * a + a * b + b * b
-    return 6.0 * np.bincount(n, weights=np.cos(A * factor.sector_angles(a, b)), minlength=x + 1)
-
-
-def test_circle_sums_match_the_full_sector():
-    # the half sector with weights 2 - [b = 0] - [a = b] gives the sums
-    # over the full sector: at the norms k^2 (a point at theta = 0), 3k^2
-    # (points on the rays +-pi/6) and around the band edges
-    B = factor._BAND_NORMS
-    x = 2 * B + 40
-    norms = {k * k for k in range(1, math.isqrt(x) + 1)} | {3 * k * k for k in range(1, math.isqrt(x // 3) + 1)}
-    norms |= {*range(B - 40, B + 41), *range(2 * B - 40, x + 1)}
-    idx = np.array(sorted(norms))
-    for A in (6, 12, 48):
-        got, _ = circle_sums(x, A)
-        want = _full_sector_sums(x, A)
-        assert np.all(np.abs(got[idx] - want[idx]) <= 1e-12 * np.maximum(1.0, np.abs(want[idx]))), A
-
-
 def test_circle_sums_thread_determinism():
     a_re, a_im = circle_sums(20000, 12, threads=1)
     b_re, b_im = circle_sums(20000, 12, threads=4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from eisen import factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
+from eisen.expsum import circle_sums
 from eisen.factor import (
     PI3,
     PrimeClass,
@@ -292,6 +293,22 @@ def test_lattice_table_is_the_sorted_full_sector(x, monkeypatch):
     order = np.lexsort((t, n))
     norms, angs = lattice_norms_angles(x)
     assert np.array_equal(norms, n[order]) and np.array_equal(angs, t[order])
+
+
+def test_circle_sums_match_the_full_sector():
+    # the half sector with weights 2 - [b = 0] - [a = b] gives 6 * the sum
+    # of cos(A theta) over the fundamental sector: checked at the norms
+    # k^2 (a point at theta = 0), 3k^2 (points on the rays) and around
+    # the band edges
+    x = 2 * B + 40
+    a, b = _row_scan(x).T
+    n, t = a * a + a * b + b * b, factor.sector_angles(a, b)
+    norms = {k * k for k in range(1, math.isqrt(x) + 1)} | {3 * k * k for k in range(1, math.isqrt(x // 3) + 1)}
+    idx = np.array(sorted(norms | {*range(B - 40, B + 41), *range(2 * B - 40, x + 1)}))
+    for A in (6, 12, 48):
+        got = circle_sums(x, A)[0][idx]
+        want = 6.0 * np.bincount(n, weights=np.cos(A * t), minlength=x + 1)[idx]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), A
 
 
 def test_lattice_blocks_are_disjoint_increasing_norm_bands():
