@@ -111,14 +111,14 @@ def _theta_radius(t: float, a: int, tol: float) -> int:
     n = max(1, int(2 * (3 * a + 1) / ct) + 1)
     denom = -math.expm1(-ct / 2.0)
     while True:
+        if n > 10**6:  # also a start past 1e6, which a loose tol would accept
+            raise ValueError(
+                f"theta at t = {t:g}, a = {a}, tol = {tol:g} needs more than 1e6 shells; use a larger t or tol"
+            )
         log_tail = math.log(12.0) + (3 * a + 1) * math.log(n + 1) - ct * (n + 1) - math.log(denom)
         if log_tail < math.log(tol):
             return n
         n += 1 + n // 16
-        if n > 10**6:
-            raise ValueError(
-                f"theta at t = {t:g}, a = {a}, tol = {tol:g} needs more than 1e6 shells; use a larger t or tol"
-            )
 
 
 def _sector_theta(t, a: int, R: int, signed: bool = True):
@@ -134,7 +134,11 @@ def _sector_theta(t, a: int, R: int, signed: bool = True):
     signed=False the cosines are dropped, which bounds |theta|.
     """
     import numpy as np
-    norms, angs = factor.lattice_norms_angles(R)
+    # the joined sector bands to norm R <= 1e6 (10 MB at most), kept in the
+    # table cache: theta asks for the same few small R over and over, and a
+    # fresh build costs several times the sum
+    norms, angs = factor._prefix_cached(
+        "pts", R, lambda x: tuple(map(np.concatenate, zip(*factor.sector_bands(x)))))
     t = np.asarray(t, dtype=np.float64)
     terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t[..., None] * norms)
     if a != 0 and signed:

@@ -160,7 +160,7 @@ def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
     jumps of G there are at the sector angles, and the boundary value
     G(0) = 0 never wins (the first left limit is <= 0, the last right
     limit is 1/6 - turns > 0).  One vectorized sweep over the norm
-    groups of the sorted sector points gives every circle at once.
+    groups of each band of factor.sector_bands gives its circles at once.
 
     Requires gamma strictly below GAMMA_MAX = log(pi)/log(2) - 1, the
     threshold above which the comparison becomes vacuous for the typical
@@ -173,18 +173,20 @@ def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
         raise ValueError(f"gamma must lie in (0, {GAMMA_MAX:.4f}) = (0, log(pi)/log(2) - 1)")
     if threads < 1:
         raise ValueError("threads >= 1")
-    norms, angs = factor.lattice_norms_angles(x)
-    _, starts, m = np.unique(norms, return_index=True, return_counts=True)
-    rank = np.arange(1, norms.size + 1) - np.repeat(starts, m)
-    total = 6 * np.repeat(m, m)
-    g_right, g_left = _g_limits((angs + math.pi / 6.0) / TWO_PI, rank, total)
-    delta = np.maximum.reduceat(g_right, starts) - np.minimum.reduceat(g_left, starts)
-    populated = starts.size
-    exceeding = int(np.count_nonzero(delta > (6.0 * m) ** (-gamma)))
+    populated = exceeding = 0
+    for norms, angs in factor.sector_bands(x):
+        starts = np.flatnonzero(np.diff(norms, prepend=0))
+        m = np.diff(starts, append=norms.size)
+        rank = np.arange(1, norms.size + 1) - np.repeat(starts, m)
+        total = 6 * np.repeat(m, m)
+        g_right, g_left = _g_limits((angs + math.pi / 6.0) / TWO_PI, rank, total)
+        delta = np.maximum.reduceat(g_right, starts) - np.minimum.reduceat(g_left, starts)
+        populated += starts.size
+        exceeding += int(np.count_nonzero(delta > (6.0 * m) ** (-gamma)))
     return SurveyReport(
         x=x,
         gamma=gamma,
-        b_q=int(populated),
+        b_q=populated,
         m_gamma=exceeding,
         fraction=exceeding / populated,
     )

@@ -492,14 +492,39 @@ def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
         yield a, bb, a * a + a * bb + bb * bb
 
 
-_CACHE_MAX = 4 * 10**6  # largest x whose sector tables are kept
+def sector_bands(x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the fundamental-sector points of norm <= x, arg in [-pi/6, pi/6),
+    as (norms, angles), one band of iter_lattice_blocks at a time, each
+    sorted by (norm, angle); one point per associate class, so circle n
+    holds r_Q(n)/6 of them, all in one band.
+
+    Each half-sector band is mirrored: the rows b >= 1, reversed and
+    mapped to rows -b (the a = b ray lands on the -pi/6 ray; arctan2 is
+    odd, so a mirror's angle is -t, clamped as sector_angles clamps),
+    then the rows with a > b.  The rows then run in increasing b, and on
+    one circle the angle grows with b, so a stable sort on n orders the
+    band by (norm, angle); the bands are disjoint and increasing in norm.
+    """
+    import numpy as np
+    for a, b, n in iter_lattice_blocks(x):
+        t = sector_angles(a, b)
+        low = np.flatnonzero(b > 0)[::-1]
+        high = np.flatnonzero(a > b)
+        n = np.concatenate((n[low], n[high]))
+        t = np.concatenate((np.maximum(-t[low], -math.pi / 6.0), t[high]))
+        order = np.argsort(n, kind="stable")
+        yield n[order], t[order]
+
+
+_CACHE_MAX = 4 * 10**6  # largest x whose tables are kept
 _tables: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
 
 
 def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
     """build(x) = (keys, values), keys sorted.  Per name, keeps the table of
-    the largest x <= _CACHE_MAX asked for (39 MB for the sector at the cap)
-    and slices it for a smaller x; a larger x is built and not kept."""
+    the largest x <= _CACHE_MAX asked for (2.3 MB of split primes at the
+    cap; theta's sector points stop at 1e6, 10 MB) and slices it for a
+    smaller x; a larger x is built and not kept."""
     kept = _tables.get(name)
     if kept is not None and kept[0] >= x:
         k = kept[1].searchsorted(x, side="right")
@@ -508,39 +533,6 @@ def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
     if x <= _CACHE_MAX:
         _tables[name] = (x, keys, values)
     return keys, values
-
-
-def _build_lattice(x: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-    # Each half-sector band becomes the fundamental-sector band: the rows
-    # b >= 1, reversed and mirrored to rows -b (the a = b ray lands on the
-    # -pi/6 ray; arctan2 is odd, so a mirror's angle is -t, clamped as
-    # sector_angles clamps), then the rows with a > b.  That puts the rows in
-    # increasing b, and on one circle the angle grows with b, so a stable
-    # sort on n orders the band by (norm, angle).  The bands are disjoint
-    # and increasing in norm, so sorting each band sorts the whole table.
-    norms = [np.empty(0, dtype=np.int64)]
-    angles = [np.empty(0)]
-    for a, b, n in iter_lattice_blocks(x):
-        t = sector_angles(a, b)
-        low = np.flatnonzero(b > 0)[::-1]
-        high = np.flatnonzero(a > b)
-        n = np.concatenate((n[low], n[high]))
-        t = np.concatenate((np.maximum(-t[low], -math.pi / 6.0), t[high]))
-        order = np.argsort(n, kind="stable")
-        norms.append(n[order])
-        angles.append(t[order])
-    return np.concatenate(norms), np.concatenate(angles)
-
-
-def lattice_norms_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fundamental-sector points of norm <= x, arg in [-pi/6, pi/6),
-    as (norms, angles), sorted by (norm, angle); one point per associate
-    class, so circle n holds r_Q(n)/6 of them.  Rebuilt from the half
-    sector of iter_lattice_blocks; materialized and cached; x <= _CACHE_MAX."""
-    if x > _CACHE_MAX:
-        raise ValueError("materialized enumeration capped at 4e6")
-    return _prefix_cached("pts", x, _build_lattice)
 
 
 def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:

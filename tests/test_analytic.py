@@ -132,6 +132,20 @@ def test_theta_large_t_tail():
     assert abs(theta(11.0, 0) - 1.0) < 1e-15
 
 
+def test_theta_slices_the_cached_sector_table(monkeypatch):
+    # theta keeps the joined sector bands of the largest R asked for and
+    # slices them for a smaller R; the slice gives the bits of a fresh build
+    monkeypatch.setattr(factor, "_tables", {})
+    theta(0.05, 0)
+    big = factor._tables["pts"]
+    sliced = [theta(t, a) for t, a in ((1.0, 1), (0.3, 4), (3.0, 0))]
+    assert factor._tables["pts"] is big  # every R above was served from it
+    norms, angs = (np.concatenate(arrs) for arrs in zip(*factor.sector_bands(big[0])))
+    assert np.array_equal(big[1], norms) and np.array_equal(big[2], angs)
+    monkeypatch.setattr(factor, "_tables", {})
+    assert [theta(t, a) for t, a in ((1.0, 1), (0.3, 4), (3.0, 0))] == sliced
+
+
 def test_theta_validation():
     for bad_t in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
@@ -142,6 +156,9 @@ def test_theta_validation():
         theta(1.0, 0, tol=0.0)
     with pytest.raises(ValueError):
         theta(1e-5, 1)  # would need over 1e6 shells
+    for t in (3e-7, 1e-12):
+        with pytest.raises(ValueError, match="1e6 shells"):
+            theta(t, 0, tol=1e300)  # a loose tol, but the search starts past 1e6
     with pytest.raises(ValueError, match="overflows"):
         theta(0.3, 60)  # n^{3a} e^{-ctn} passes the double range
 

@@ -205,6 +205,30 @@ def test_survey_against_direct_count():
             assert direct == 11
 
 
+@pytest.mark.parametrize(
+    "x, frozen",
+    [(433_583, (81_253, [0, 36, 740, 1_111])), (10**6, (180_874, [0, 173, 2_129, 3_083]))],
+    ids=["2B+1", "1e6"],
+)
+def test_survey_across_bands(x, frozen):
+    # x = 2B + 1 and 1e6 cross two and four band edges of the sector
+    # enumerator (B = 216,791 norms); frozen from the one-table sweep
+    reps = [discrepancy_survey(x, gamma) for gamma in (0.5, 0.6, 0.64, 0.65)]
+    assert all(rep.b_q == b_q(x) for rep in reps)
+    assert (reps[0].b_q, [rep.m_gamma for rep in reps]) == frozen
+
+
+def test_survey_holds_one_band_at_a_time():
+    # the whole sector to 1e6 (about 605,000 points) traced 41 MB
+    tracemalloc.start()
+    try:
+        discrepancy_survey(10**6, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
 def test_survey_thread_determinism():
     a = discrepancy_survey(30000, 0.65, threads=1)
     b = discrepancy_survey(30000, 0.65, threads=4)

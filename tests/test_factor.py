@@ -19,10 +19,10 @@ from eisen.factor import (
     factor_int,
     is_prime,
     iter_lattice_blocks,
-    lattice_norms_angles,
     prime_record,
     primes_up_to,
     r_q,
+    sector_bands,
     split_prime_angles,
     split_prime_generator,
 )
@@ -230,8 +230,14 @@ def test_circle_points_match_bruteforce(n):
     assert len(fast) == r_q(n)
 
 
+def _sector_table(x):
+    """The bands of sector_bands(x) joined into (norms, angles)."""
+    norms, angs = zip(*sector_bands(x))
+    return np.concatenate(norms), np.concatenate(angs)
+
+
 def test_lattice_enumeration_against_pointwise():
-    norms, angs = lattice_norms_angles(200)
+    norms, angs = _sector_table(200)
     # one sector point per associate class: six times the multiset of
     # norms must reproduce r_q circle by circle
     counts = np.bincount(norms, minlength=201)
@@ -246,7 +252,7 @@ def test_lattice_blocks_concatenate_to_full_enumeration():
     a, b, n = (np.concatenate(arrs) for arrs in zip(*iter_lattice_blocks(5000)))
     w = 2 - (b == 0) - (a == b)
     got = np.bincount(n, weights=w, minlength=5001)
-    want = np.bincount(lattice_norms_angles(5000)[0], minlength=5001)
+    want = np.bincount(_sector_table(5000)[0], minlength=5001)
     assert np.array_equal(got, want)
 
 
@@ -284,14 +290,13 @@ def test_lattice_blocks_match_a_row_scan(x):
 
 
 @pytest.mark.parametrize("x", ROW_SCAN_X)
-def test_lattice_table_is_the_sorted_full_sector(x, monkeypatch):
-    # the table rebuilt from the half sector is the fundamental-sector
-    # row scan sorted by (norm, angle), bit for bit
-    monkeypatch.setattr(factor, "_tables", {})
+def test_lattice_table_is_the_sorted_full_sector(x):
+    # the sector bands rebuilt from the half sector, joined, are the
+    # fundamental-sector row scan sorted by (norm, angle), bit for bit
     a, b = _row_scan(x).T
     n, t = a * a + a * b + b * b, factor.sector_angles(a, b)
     order = np.lexsort((t, n))
-    norms, angs = lattice_norms_angles(x)
+    norms, angs = _sector_table(x)
     assert np.array_equal(norms, n[order]) and np.array_equal(angs, t[order])
 
 
@@ -345,7 +350,7 @@ def test_gauss_circle_constant():
     # point count to norm x grows like (2 pi / sqrt 3) x; the sector holds
     # one point in six
     x = 200000
-    count = 6 * lattice_norms_angles(x)[0].size
+    count = 6 * _sector_table(x)[0].size
     kappa = 2 * math.pi / math.sqrt(3)
     assert abs(count / (kappa * x) - 1.0) < 0.02
 
@@ -374,7 +379,7 @@ def test_is_prime_rejects_psi13():
     assert is_prime(PSI_13) is False
 
 
-@pytest.mark.parametrize("build, name", [(lattice_norms_angles, "pts"), (split_prime_angles, "sp")])
+@pytest.mark.parametrize("build, name", [(split_prime_angles, "sp")])
 def test_table_cache_slices_to_a_fresh_build(build, name, monkeypatch):
     monkeypatch.setattr(factor, "_tables", {})
     build(20000)
@@ -392,8 +397,3 @@ def test_table_cache_keeps_table_above_the_cap(monkeypatch):
     assert int(ps[-1]) <= factor._CACHE_MAX + 1 and ps.size > kept[0].size
     x, cp, ct = factor._tables["sp"]
     assert x == 5000 and cp is kept[0] and ct is kept[1]
-
-
-def test_lattice_table_capped():
-    with pytest.raises(ValueError):
-        lattice_norms_angles(4 * 10**6 + 1)
