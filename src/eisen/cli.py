@@ -124,8 +124,10 @@ def _cmd_avg_expsum(args, out: _Output) -> None:
 
 
 def _cmd_sector(args, out: _Output) -> None:
-    if args.x == 2:  # checked before angles loads numpy and the prime table
+    if args.x == 2:  # all checked before angles loads numpy and the prime table
         raise ValueError("expected count is 0 at x = 2 (Li(2) = 0), so the ratio is undefined")
+    if not (args.x >= 2 and -math.pi / 6.0 <= args.phi1 < args.phi2 < math.pi / 6.0):  # as SectorQuery
+        raise ValueError("x >= 2 required" if not args.x >= 2 else "need -pi/6 <= phi1 < phi2 < pi/6")
     from . import angles
     q = angles.SectorQuery(args.x, args.phi1, args.phi2)
     observed, expected = angles.sector_count(q)

@@ -482,7 +482,7 @@ def iter_lattice_blocks(x: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.nda
     for lo in range(0, x, _BAND_NORMS):
         hi = min(lo + _BAND_NORMS, x)
         b = np.arange(math.isqrt(hi // 3) + 1, dtype=np.int64)  # the rows with 3b^2 <= hi
-        first = np.maximum(np.maximum(b, 1), _row_ends(b, lo) + 1)
+        first = np.maximum(b, 1) if lo == 0 else np.maximum(np.maximum(b, 1), _row_ends(b, lo) + 1)
         count = np.maximum(_row_ends(b, hi) - first + 1, 0)
         total = int(count.sum())
         if total == 0:

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from eisen import factor
+from eisen import analytic, factor
 from eisen.analytic import (
     C_THETA,
     complex_gamma,
@@ -236,14 +236,75 @@ def test_l_log_derivative_consistency():
 
 
 def test_l_dirichlet_holds_one_band_at_a_time():
-    # R = 2e6 here; a full-length coefficient table would take 16 MB alone
+    # the lattice sum has R = 2e6 here; a full-length coefficient table
+    # would take 16 MB alone
     tracemalloc.start()
     try:
-        l_dirichlet(2.0, 1)
+        analytic._l_lattice(2.0 + 0j, 1, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# L(s, chi^{6a}) from mpmath at 50 digits, shown to 30: a = 0 as zeta(s) L(s, chi_-3)
+# by Hurwitz zeta, a >= 1 as xi / ((sqrt3/2pi)^s Gamma(s+3a)) with xi from the
+# incomplete-gamma series below (norms <= 110); the 30- and 50-digit runs agree
+# to 1e-24
+L_FROZEN = [
+    (0, 1.1, 6.62984732713932013416531713427),
+    (0, 1.1 + 5j, 1.25155035308242638952886629282 + 0.170154715743258431416263000347j),
+    (0, 2, 1.2851909554841494029175117987),
+    (0, 2.5 + 3j, 0.936272226932909887596454937048 + 0.0363712617178229757153993913586j),
+    (0, 2 + 20j, 0.866039810600299509937896640497 - 0.074676913541747858715687871351j),
+    (0, 2.5 + 20j, 0.920460521863308751436768897001 - 0.0325949964882596149304340369471j),
+    (1, 1.1, 0.876728767693924635966470041652),
+    (1, 1.1 + 5j, 1.02310196554625270197613300871 - 0.309459356085608690703733325455j),
+    (1, 2, 0.942800479646429128159142007667),
+    (1, 2.5 + 3j, 1.04430393687098532374368684947 + 0.0137103324749187591524968948476j),
+    (1, 2 + 20j, 1.06791554500344425859045424118 - 0.0118451570411333862371881816034j),
+    (1, 2.5 + 20j, 1.03970748173415738363468680687 - 0.00861245115688114216651061039297j),
+    (3, 1.1, 1.16914666692265408059097897711),
+    (3, 1.1 + 5j, 0.670017050425069012073126577183 - 0.226768583789472855784630445169j),
+    (3, 2, 0.995512855144545224195939599018),
+    (3, 2.5 + 3j, 1.0629961021000979104842104462 + 0.0239076209692524560638497228401j),
+    (3, 2 + 20j, 1.07312173462227631638611227951 - 0.0715042137348437194204120098798j),
+    (3, 2.5 + 20j, 1.0440989614880238101362831697 - 0.0297338863827214067634962619854j),
+    (8, 1.1, 1.67691542353875957611972131578),
+    (8, 1.1 + 5j, 1.85198134616753888329612189435 + 0.0224663603765608489707192529684j),
+    (8, 2, 1.16916210580156303871270055698),
+    (8, 2.5 + 3j, 0.911538156893185378530971600466 + 0.0244210758682440277814812943368j),
+    (8, 2 + 20j, 0.844968530765092596646723448333 - 0.00494683787771179362106233704697j),
+    (8, 2.5 + 20j, 0.911213522852677510364236899093 - 0.00520857502857768718442833130489j),
+]
+
+
+@pytest.mark.parametrize("a,s,want", L_FROZEN)
+def test_l_error_estimate_bounds_true_error(a, s, want):
+    # on both routes: the xi integral and the lattice sum
+    for tol in (1e-9, 1e-6):
+        val, err = l_dirichlet_with_error(s, a, tol)
+        assert abs(val - want) <= err, (tol, val, err)
+
+
+def test_l_route(monkeypatch):
+    lattice = analytic._l_lattice
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lattice(*args)
+
+    def refuse(*args):
+        raise AssertionError("lattice sum called")
+
+    monkeypatch.setattr(analytic, "_l_lattice", refuse)
+    for s, a, want in ((2.0, 1, 0.942800479646429128159142007667), (1.1, 0, 6.62984732713932013416531713427)):
+        val, err = l_dirichlet_with_error(s, a)  # the xi integral meets tol 1e-9
+        assert abs(val - want) <= err <= 1e-9
+    monkeypatch.setattr(analytic, "_l_lattice", spy)
+    l_dirichlet_with_error(2 + 20j, 1)  # xi's roundoff floor over the gamma factor (3e-9) is 7e-5
+    assert len(calls) == 1
 
 
 def test_l_validation():
@@ -258,10 +319,12 @@ def test_l_validation():
 
 
 def test_xi_matches_gamma_times_l():
-    # the completed function two ways: integral vs (sqrt3/2pi)^s Gamma(s+3a) L(s)
+    # the completed function two ways: integral vs (sqrt3/2pi)^s Gamma(s+3a) L(s),
+    # L from the lattice sum (l_dirichlet itself takes the integral here)
     for a, tol in ((1, 1e-9), (2, 1e-6)):
         s = 2.0
-        via_l = (math.sqrt(3.0) / (2.0 * math.pi)) ** s * complex_gamma(s + 3 * a) * l_dirichlet(s, a)
+        L = analytic._l_lattice(complex(s), a, 1e-9)[0]
+        via_l = (math.sqrt(3.0) / (2.0 * math.pi)) ** s * complex_gamma(s + 3 * a) * L
         via_int = xi_integral(s, a)
         assert abs(via_int - via_l) <= tol * abs(via_l)
 

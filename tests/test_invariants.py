@@ -65,10 +65,11 @@ def test_import_loads_no_scipy():
 
 
 def test_sector_rejects_li_2_before_loading_numpy():
-    # Li(2) = 0 leaves the ratio undefined; that is known before the
-    # prime table is built
-    code = "from eisen import cli\nif cli.run(['sector', '2', '-0.1', '0.1']) != 2: raise SystemExit(1)"
-    assert {"numpy", "scipy"}.isdisjoint(_loaded(code))
+    # Li(2) = 0 leaves the ratio undefined, and an x below 2 or an empty phi
+    # range is rejected too; all of it is known before the prime table is built
+    for argv in (["sector", "2", "-0.1", "0.1"], ["sector", "1000", "0.3", "0.1"], ["sector", "1", "-0.1", "0.1"]):
+        code = f"from eisen import cli\nif cli.run({argv!r}) != 2: raise SystemExit(1)"
+        assert {"numpy", "scipy"}.isdisjoint(_loaded(code)), argv
 
 
 def test_lazy_namespace_resolves_every_name_and_submodule():
