@@ -4,7 +4,10 @@ One record per result line: JSON objects by default, CSV rows with
 --format csv (meant for piping point dumps into plotting tools).
 Exit status is 0 on success, 2 for bad usage or a rejected argument,
 and 1 for an internal failure.  Each subcommand imports the one module it
-calls, so only the lattice statistics pay for loading numpy.
+calls, so only the lattice statistics pay for loading numpy.  The eisen
+process runs on one thread: main() sets OPENBLAS_NUM_THREADS to 1 unless the
+caller set it, before numpy loads, so numpy starts no idle BLAS pool; run()
+and the library leave the environment alone.
 """
 
 from __future__ import annotations
@@ -258,6 +261,9 @@ def _cmd_li(args, out: _Output) -> None:
     out.emit({"x": args.x}, _round15(analytic.li(args.x)))
 
 
+_THREADS_HELP = "accepted for compatibility, like EISEN_THREADS; must be >= 1 and changes nothing"
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="eisen",
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.add_argument("--format", choices=("json", "csv"), default="json")
     top.add_argument("--tol", type=float, default=None)
-    top.add_argument("--threads", type=int, default=None)
+    top.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
     top.add_argument("--seed", type=int, default=None)
 
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=_THREADS_HELP)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
 
     sub = top.add_subparsers(dest="command", required=True)
@@ -383,6 +389,8 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
+    # OpenBLAS reads this once, when numpy loads, and eisen does no threaded BLAS work
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     return run(sys.argv[1:])
 
 
