@@ -124,6 +124,13 @@ def _theta_radius(t: float, a: int, tol: float) -> int:
         n += 1 + n // 16
 
 
+def _sector_points(R: int):
+    """(norms, angles) of the sector to norm R <= 1e6 (10 MB at most), kept in the table cache:
+    theta asks for the same few small R over and over, and a fresh build costs several times the sum."""
+    import numpy as np
+    return factor._prefix_cached("pts", R, lambda x: tuple(map(np.concatenate, zip(*factor.sector_bands(x)))))
+
+
 def _sector_theta(t, a: int, R: int, signed: bool = True):
     """theta(t, a) cut at norm R, from the fundamental sector, for a float
     t or elementwise for an array of t.
@@ -137,11 +144,7 @@ def _sector_theta(t, a: int, R: int, signed: bool = True):
     cosines are dropped, which bounds |theta|.
     """
     import numpy as np
-    # the joined sector bands to norm R <= 1e6 (10 MB at most), kept in the
-    # table cache: theta asks for the same few small R over and over, and a
-    # fresh build costs several times the sum
-    norms, angs = factor._prefix_cached(
-        "pts", R, lambda x: tuple(map(np.concatenate, zip(*factor.sector_bands(x)))))
+    norms, angs = _sector_points(R)
     t = np.asarray(t, dtype=np.float64)
     terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t[..., None] * norms)
     if a != 0 and signed:
@@ -205,11 +208,18 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
     if abs(s) <= 50:
         G = (math.sqrt(3.0) / (2.0 * math.pi)) ** s * complex_gamma(s + 3 * aa)
         scale = C_THETA ** (3 * aa) / 6.0 / abs(G)  # the integral's units to L's
-        # the floor is 1e-13 K int_1^inf e^{-cv} v^q dv, q = max(p, 0) for p in {sigma + 3a - 1,
-        # 3a - sigma}: at most Gamma(q+1)/c^{q+1}, or e^{-c}/(c - q) as (1+u)^q <= e^{qu}
-        I = sum(min(math.gamma(q + 1.0) / C_THETA ** (q + 1.0), math.exp(-C_THETA) / (C_THETA - q) if q < C_THETA
-                    else math.inf) for q in (max(s.real + 3 * aa - 1.0, 0.0), max(3 * aa - s.real, 0.0)))
-        if 1e-13 * _theta_abs_bound(aa, _theta_radius(1.0, aa, 1e-12)) * I * scale + 1e-14 * abs(s + 3 * aa) <= tol:
+        # the floor is 1e-13 int_1^inf |f|, and |f| <= 6 sum_n n^{3a} e^{-cnv} (v^q + v^q') over the sector,
+        # q = max(p, 0) for p in {sigma + 3a - 1, 3a - sigma}; shell by shell, int_1^inf e^{-cnv} v^q dv is
+        # at most Gamma(q+1)/(cn)^{q+1}, or e^{-cn}/(cn - q) where cn > q, as (1+u)^q <= e^{qu}
+        import numpy as np
+        n = _sector_points(_theta_radius(1.0, aa, 1e-12))[0]
+        cn, lw, floor = C_THETA * n, 3 * aa * np.log(n), 0.0  # lw = log n^{3a}
+        for q in (max(s.real + 3 * aa - 1.0, 0.0), max(3 * aa - s.real, 0.0)):
+            with np.errstate(divide="ignore"):  # inf where cn <= q
+                tail = np.exp(lw - cn) / np.maximum(cn - q, 0.0)
+            gam = np.exp(lw + math.lgamma(q + 1.0) - (q + 1.0) * np.log(cn))
+            floor += 6e-13 * float(np.add.reduce(np.minimum(gam, tail)))
+        if floor * scale + 1e-14 * abs(s + 3 * aa) <= tol:
             xi, bound = _xi_integral(s, aa, 1e-3 * tol / scale)  # the last digits cost little more
             via_xi = xi / G, bound / abs(G) + 1e-14 * abs(s + 3 * aa) * abs(xi / G)
     return via_xi if via_xi[1] <= tol else min(via_xi, _l_lattice(s, aa, tol), key=lambda r: r[1])
@@ -223,7 +233,7 @@ def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:
     C_THETA s R^{1-s}/(s-1).  What remains is controlled by the
     fluctuation of the coefficient sum, reported as the error estimate
     with empirical constants (x^{1/3} fluctuation for a = 0, x^{1/2}
-    for a != 0).
+    for a != 0), plus 8 ulps of the unsigned sum for the roundoff.
     """
     import numpy as np
     sigma = s.real
@@ -234,16 +244,17 @@ def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:
     # band by band over the sector sums c(n) = S(n, 6a) / 6, which are
     # real; A_R = A(R) / 6 sums them to the cutoff for the boundary
     # correction
-    total, A_R = 0j, 0.0
+    total, A_R, absum = 0j, 0.0, 0.0
     for n0, c in expsum._band_cos_sums(R, 6 * a):
         k = np.flatnonzero(c)
-        total += complex(np.sum(c[k] * np.exp(-s * np.log((n0 + k).astype(np.float64)))))
+        terms = c[k] * np.exp(-s * np.log((n0 + k).astype(np.float64)))
+        total += complex(np.sum(terms))
+        absum += float(np.sum(np.abs(terms)))
         A_R += float(np.sum(c[k]))
     total -= A_R * R ** complex(-s)
     if a == 0:
         total += C_THETA * s * R ** (1.0 - s) / (s - 1.0) / 6.0
-    err = growth * R ** (beta - sigma)
-    return total, float(err)
+    return total, float(growth * R ** (beta - sigma) + 8.0 * 2.0**-53 * absum)
 
 
 def l_dirichlet(s: complex, a: int, tol: float = 1e-9) -> complex:
@@ -293,13 +304,13 @@ def _xi_integral(s: complex, a: int, tol: float) -> tuple[complex, float]:
         lv = np.log(v)
         g = np.exp((s + 3 * a - 1) * lv) + np.exp((-s + 3 * a) * lv)
         f = _sector_theta(v, a, R) * g
-        val = complex(np.dot(w, f))
-        floor = 1e-13 * float(np.dot(w, np.abs(f)))
+        val = complex(np.add.reduce(w * f))  # pairwise, not BLAS: the same bits on any thread count
+        floor = 1e-13 * float(np.add.reduce(w * np.abs(f)))
         if prev is not None and abs(val - prev) <= max(tol / 4.0, floor):
             # past V, |f| <= 2K v^m e^{-cv}, whose integral is <= 8/3 K V^m e^{-cV}/c as
             # m/V <= c/4; theta's cut at R is below inner e^{-c(R+1)(v-1)} for v >= 1
             bound = (abs(val - prev) + floor + K * math.exp(-C_THETA * V + m * math.log(V)) * 8.0 / (3.0 * C_THETA)
-                     + inner * float(np.dot(w, np.abs(g) * np.exp(-C_THETA * (R + 1) * (v - 1.0)))))
+                     + inner * float(np.add.reduce(w * np.abs(g) * np.exp(-C_THETA * (R + 1) * (v - 1.0)))))
             if a == 0:
                 val += 1.0 / (s - 1.0) - 1.0 / s
             return C_THETA ** (3 * a) / 6.0 * val, C_THETA ** (3 * a) / 6.0 * bound  # (sqrt3/2pi)^{-3a} / 6

@@ -4,10 +4,9 @@ One record per result line: JSON objects by default, CSV rows with
 --format csv (meant for piping point dumps into plotting tools).
 Exit status is 0 on success, 2 for bad usage or a rejected argument,
 and 1 for an internal failure.  Each subcommand imports the one module it
-calls, so only the lattice statistics pay for loading numpy.  The eisen
-process runs on one thread: main() sets OPENBLAS_NUM_THREADS to 1 unless the
-caller set it, before numpy loads, so numpy starts no idle BLAS pool; run()
-and the library leave the environment alone.
+calls, so only the lattice statistics pay for loading numpy.  main() sets
+OPENBLAS_NUM_THREADS to 1 unless the caller set it, so numpy starts no idle
+BLAS pool and the process runs on one thread; run() leaves it alone.
 """
 
 from __future__ import annotations

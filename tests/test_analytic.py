@@ -302,9 +302,29 @@ def test_l_route(monkeypatch):
     for s, a, want in ((2.0, 1, 0.942800479646429128159142007667), (1.1, 0, 6.62984732713932013416531713427)):
         val, err = l_dirichlet_with_error(s, a)  # the xi integral meets tol 1e-9
         assert abs(val - want) <= err <= 1e-9
+    frozen = {(a, s): want for a, s, want in L_FROZEN}
+    for s in (1.1, 2, 2.5 + 3j):  # the floor estimated shell by shell keeps a = 8 on xi
+        val, err = l_dirichlet_with_error(s, 8)
+        assert abs(val - frozen[8, s]) <= err <= 1e-9, s
     monkeypatch.setattr(analytic, "_l_lattice", spy)
     l_dirichlet_with_error(2 + 20j, 1)  # xi's roundoff floor over the gamma factor (3e-9) is 7e-5
     assert len(calls) == 1
+
+
+# where the lattice sum's truncation estimate alone falls far below double
+# roundoff (6.8e-24 and 4.4e-25), from mpmath at 50 digits, shown to 30: a = 0
+# by Hurwitz zeta, a = 6 as xi / gamma factor with the incomplete-gamma series
+# below (norms <= 150); s is taken as the double it is written as
+L_LATTICE_FROZEN = [
+    (0, 4.74 + 19.78j, 0.993964366369654964926686424099 - 0.0025888372302650931681253009949j),
+    (6, 5.05 + 2.15j, 0.996284748731794879301710021858 - 0.002789976855391692847750559095j),
+]
+
+
+@pytest.mark.parametrize("a,s,want", L_LATTICE_FROZEN)
+def test_l_lattice_estimate_covers_roundoff(a, s, want):
+    val, err = analytic._l_lattice(s, a, 1e-9)
+    assert abs(val - want) <= err, (val, err)
 
 
 def test_l_validation():

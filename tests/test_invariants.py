@@ -1,7 +1,8 @@
 """Invariant checks are explicit raises, so they survive python -O; the
 package runs on numpy and the standard library alone, and loads numpy only
 for the lattice statistics; its one module-level cache is the bounded table
-cache in factor."""
+cache in factor; the eisen process runs on one thread unless the caller sets
+OPENBLAS_NUM_THREADS, and no output depends on the BLAS thread count."""
 
 import ast
 import importlib
@@ -46,13 +47,20 @@ def test_one_module_level_cache():
     assert _module_dicts("_split_record_cache: dict[int, object] = {}\nx = dict()") == ["_split_record_cache", "x"]
 
 
+def _fresh(code: str, **env: str) -> str:
+    """stdout of code run in a fresh interpreter on this package, with
+    OPENBLAS_NUM_THREADS unset unless given in env."""
+    full = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    full.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=full | env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def _loaded(code: str) -> set[str]:
     """Top-level packages loaded in a fresh interpreter after running code."""
     code += "\nimport sys; print(*sorted({m.split('.')[0] for m in sys.modules}))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return set(proc.stdout.splitlines()[-1].split())
+    return set(_fresh(code).splitlines()[-1].split())
 
 
 def test_import_loads_no_scipy():
@@ -87,3 +95,42 @@ def test_lazy_namespace_resolves_every_name_and_submodule():
     assert "__all__" in dir(eisen)
     with pytest.raises(AttributeError):
         eisen.no_such_name
+
+
+def _threads_after(code: str, **env: str) -> int:
+    """OS threads of a fresh interpreter after running code."""
+    return int(_fresh(code + "\nimport os; print(len(os.listdir('/proc/self/task')))", **env).split()[-1])
+
+
+@pytest.fixture(scope="module")
+def blas_pool():
+    """Skips unless a bare import numpy starts a BLAS thread pool here."""
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    if _threads_after("import numpy") == 1:
+        pytest.skip("import numpy starts no extra thread on this machine")
+
+
+def _main(argv: list[str]) -> str:
+    return f"import sys\nfrom eisen import cli\nsys.argv = ['eisen', *{argv!r}]\nif cli.main(): raise SystemExit(1)"
+
+
+def test_eisen_process_runs_on_one_thread(blas_pool):
+    # main() keeps numpy's OpenBLAS from starting its pool; a caller's value wins
+    code = _main(["bq", "1000"]) + "\nif 'numpy' not in sys.modules: raise SystemExit(1)"
+    assert _threads_after(code) == 1
+    assert _threads_after(code, OPENBLAS_NUM_THREADS="2") == 2
+
+
+def test_cli_stdout_does_not_depend_on_blas_threads(blas_pool):
+    for argv in (["avg-expsum", "20000", "6"], ["xi-check", "0.5", "40", "8"], ["lfunc", "2", "0", "1"],
+                 ["equi-stat", "20000"]):
+        assert _fresh(_main(argv)) == _fresh(_main(argv), OPENBLAS_NUM_THREADS="2"), argv
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: BLAS has no second thread to split a sum over")
+def test_library_xi_and_l_do_not_depend_on_blas_threads():
+    code = ("from eisen import analytic\nv = analytic.xi_integral(0.5 + 40j, 8)\n"
+            "L, e = analytic.l_dirichlet_with_error(1.1 + 5j, 8)\n"
+            "print(*(x.hex() for x in (v.real, v.imag, L.real, L.imag, e)))")
+    assert _fresh(code, OPENBLAS_NUM_THREADS="1") == _fresh(code, OPENBLAS_NUM_THREADS="2")
