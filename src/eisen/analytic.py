@@ -7,7 +7,8 @@ The theta function of the character chi^{6a} is
 
 (the mu = 0 term contributes 1 only when a = 0).  Conjugation symmetry
 of the lattice makes the sum real, and Poisson summation gives the
-transformation law theta(t, a) = t^{-1-6a} theta(1/t, a).
+transformation law theta(t, a) = t^{-1-6a} theta(1/t, a), by which theta
+folds t < 1 onto 1/t, so one fixed table of sector points serves every sum.
 
 For Re s > 1 the L-function is the absolutely convergent lattice sum
 L(s, chi^{6a}) = (1/6) sum mu^{6a} / |mu|^{2s+6a}, and the completed
@@ -102,87 +103,116 @@ def complex_gamma(s: complex) -> complex:
     return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
 
 
-def _theta_radius(t: float, a: int, tol: float) -> int:
-    """Smallest shell cutoff R so the omitted theta tail is below tol.
+_TABLE_NORMS = 4096  # every theta, xi and L call sums the sector to a norm below this
+
+
+def _theta_radius(t: float, a: int, tol: float) -> tuple[int, float]:
+    """Smallest shell cutoff R so the omitted theta tail is below tol, and the log of that bound.
 
     Shell n holds at most r_Q(n) <= 12n points of weight n^{3a}e^{-ctn},
     and past n0 = 2(3a+1)/(ct) consecutive terms shrink by at least
-    e^{-ct/2}, so the tail is geometrically dominated.  A t so small (or
-    tol so tight) that R would pass 1e6 shells is rejected as input.
+    e^{-ct/2}, so the tail is geometrically dominated.  Only a theta whose
+    terms pass the double range needs an R past _TABLE_NORMS (at any tol,
+    R <= 636 for t >= 1 and R <= 2,947 on [0.2, 5] otherwise, measured).
     """
     ct = C_THETA * t
     n = max(1, int(2 * (3 * a + 1) / ct) + 1)
     denom = -math.expm1(-ct / 2.0)
     while True:
-        if n > 10**6:  # also a start past 1e6, which a loose tol would accept
+        if n > _TABLE_NORMS:  # also a start past it
             raise ValueError(
-                f"theta at t = {t:g}, a = {a}, tol = {tol:g} needs more than 1e6 shells; use a larger t or tol"
+                f"theta at a = {a} needs norms past {_TABLE_NORMS}, where its terms pass the double range; use a smaller a"
             )
         log_tail = math.log(12.0) + (3 * a + 1) * math.log(n + 1) - ct * (n + 1) - math.log(denom)
         if log_tail < math.log(tol):
-            return n
+            return n, log_tail
         n += 1 + n // 16
 
 
-def _sector_points(R: int):
-    """(norms, angles) of the sector to norm R <= 1e6 (10 MB at most), kept in the table cache:
-    theta asks for the same few small R over and over, and a fresh build costs several times the sum."""
+@functools.lru_cache(maxsize=1)
+def _sector_table():
+    """(norms, log norms, angles) of the sector to norm _TABLE_NORMS, from factor.sector_bands (2,474 points)."""
     import numpy as np
-    return factor._prefix_cached("pts", R, lambda x: tuple(map(np.concatenate, zip(*factor.sector_bands(x)))))
+    norms, angs = map(np.concatenate, zip(*factor.sector_bands(_TABLE_NORMS)))
+    return norms, np.log(norms), angs
 
 
-def _sector_theta(t, a: int, R: int, signed: bool = True):
-    """theta(t, a) cut at norm R, from the fundamental sector, for a float
-    t or elementwise for an array of t.
+def _sector_points(R: int):
+    """(norms, log norms, angles) of the sector to norm R <= _TABLE_NORMS, sliced from the table."""
+    norms, logs, angs = _sector_table()
+    k = norms.searchsorted(R, side="right")
+    return norms[:k], logs[:k], angs[:k]
 
-    mu^{6a} is the same on all six associates (w^{6a} = 1), so the sum is 6
-    times the sector sum (the mu = 0 term, 1 when a = 0, is the caller's).
-    Terms are evaluated in polar form exp(3a log n - ct n) cos(6a arg mu), so
-    the n^{3a} growth overflows only where a term itself passes the double
-    range (the sum is then not finite, which theta rejects), and summed in the
-    fixed (norm, angle) order for reproducibility.  With signed=False the
-    cosines are dropped, which bounds |theta|.
+
+def _sector_terms(t, a: int, R: int, shift: float = 0.0):
+    """(w, terms) over the fundamental sector to norm R, for a float t or
+    along a last axis per element of an array of t: w = exp(3a log n + shift
+    - ct n) and terms = w cos(6a arg mu).
+
+    mu^{6a} is the same on all six associates (w^{6a} = 1), so 6 times the
+    sum of terms is e^shift theta(t, a) without the mu = 0 term, and 6 times
+    the sum of w bounds its size.  In this polar form n^{3a} e^shift
+    overflows only where a term itself passes the double range (theta then
+    rejects the sum); callers sum in the fixed (norm, angle) order.
     """
     import numpy as np
-    norms, angs = _sector_points(R)
+    norms, logs, angs = _sector_points(R)
     t = np.asarray(t, dtype=np.float64)
-    terms = np.exp(3.0 * a * np.log(norms) - C_THETA * t[..., None] * norms)
-    if a != 0 and signed:
-        terms = terms * np.cos(6.0 * a * angs)
-    return 6.0 * np.add.reduce(terms, axis=-1)
+    w = np.exp((3.0 * a * logs + shift) - C_THETA * t[..., None] * norms)
+    return w, (w * np.cos(6.0 * a * angs) if a != 0 else w)
 
 
-def theta(t: float, a: int, tol: float = 1e-12) -> float:
-    """Truncated lattice sum for theta(t, a); the result is real."""
+def _theta_with_error(t: float, a: int, tol: float, fold: bool = True) -> tuple[float, float]:
+    """theta(t, a) and a bound on its error.
+
+    With fold, a t < 1 gives t^{-1-6a} theta(1/t, a): theta(1/t) is asked
+    for tol t^{1+6a} (at least the smallest double), and the factor's log
+    goes into each term's exponent.  The bound is the tail past R plus the
+    roundoff: each term's exponent and cosine argument carry a few ulps of
+    their size, at most e_max, so 2^{-51} (1 + e_max) of the unsigned sum.
+    """
     if not math.isfinite(t) or t <= 0:
         raise ValueError("finite t > 0 required")
     if a < 0:
         raise ValueError("a >= 0 required")
     if tol <= 0:
         raise ValueError("tol > 0 required")
-    R = _theta_radius(t, a, tol)  # rejects too small a t before numpy loads
+    t0, shift = t, 0.0
+    if fold and t < 1.0:
+        shift = -(1.0 + 6.0 * a) * math.log(t)  # log t^{-1-6a}
+        tol = max(tol * t ** (1.0 + 6.0 * a), 5e-324)
+        t = 1.0 / t
+    # where 3a <= ct no term passes the n = 1 term 6 e^{shift - ct} (the fold implies it where that underflows)
+    if a >= 1 and 3 * a <= C_THETA * t and math.log(6.0) + shift - C_THETA * t < math.log(5e-324):
+        raise ValueError(f"theta at t = {t0:g}, a = {a} underflows double precision; use a t nearer 1")
+    R, log_tail = _theta_radius(t, a, tol)
+    one = (a == 0) / min(t0, 1.0)  # the mu = 0 term, t^{-1} when folded
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        val = float(_sector_theta(t, a, R)) + (a == 0)
-    if not math.isfinite(val):
-        raise ValueError(f"theta at t = {t:g}, a = {a} overflows double precision; use a smaller a or larger t")
-    return val
+        w, terms = _sector_terms(t, a, R, shift)
+        val = 6.0 * float(np.add.reduce(terms, axis=-1)) + one
+        absum = 6.0 * float(np.add.reduce(w, axis=-1))
+    tail = math.exp(log_tail + shift) if log_tail + shift < 709.0 else math.inf
+    e_max = 3 * a * math.log(R) + C_THETA * t * R + shift + math.pi * a
+    err = tail + 2.0**-51 * (1.0 + e_max) * absum + 2.0**-52 * one
+    if not (math.isfinite(val) and math.isfinite(err)):
+        raise ValueError(f"theta at t = {t0:g}, a = {a} overflows double precision; use a smaller a or a t nearer 1")
+    return val, err
 
 
-def _theta_abs_bound(a: int, R: int) -> float:
-    """K with |theta(v, a) - [a = 0]| <= K e^{-cv} for all v >= 1, from the
-    sector cut at norm R = _theta_radius(1, a, tol)."""
-    return math.exp(C_THETA) * float(_sector_theta(1.0, a, R, signed=False))
+def theta(t: float, a: int, tol: float = 1e-12) -> float:
+    """theta(t, a) to tol, from the lattice sum at t >= 1 only; the result is real."""
+    return _theta_with_error(t, a, tol)[0]
 
 
 def theta_transform_residual(t: float, a: int, tol: float = 1e-12) -> float:
-    """Relative defect of theta(t, a) = t^{-1-6a} theta(1/t, a)."""
+    """Relative defect of theta(t, a) = t^{-1-6a} theta(1/t, a) between two direct lattice sums."""
     if not (0.2 <= t <= 5.0):
         raise ValueError("t must lie in [0.2, 5]")
     if a < 1:
         raise ValueError("a >= 1 required")
-    lhs = theta(t, a, tol)
-    rhs = t ** (-1.0 - 6.0 * a) * theta(1.0 / t, a, tol)
+    lhs = _theta_with_error(t, a, tol, fold=False)[0]
+    rhs = t ** (-1.0 - 6.0 * a) * _theta_with_error(1.0 / t, a, tol, fold=False)[0]
     return abs(lhs - rhs) / (abs(lhs) + tol)
 
 
@@ -212,8 +242,8 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
         # q = max(p, 0) for p in {sigma + 3a - 1, 3a - sigma}; shell by shell, int_1^inf e^{-cnv} v^q dv is
         # at most Gamma(q+1)/(cn)^{q+1}, or e^{-cn}/(cn - q) where cn > q, as (1+u)^q <= e^{qu}
         import numpy as np
-        n = _sector_points(_theta_radius(1.0, aa, 1e-12))[0]
-        cn, lw, floor = C_THETA * n, 3 * aa * np.log(n), 0.0  # lw = log n^{3a}
+        n, logn, _ = _sector_points(_theta_radius(1.0, aa, 1e-12)[0])
+        cn, lw, floor = C_THETA * n, 3 * aa * logn, 0.0  # lw = log n^{3a}
         for q in (max(s.real + 3 * aa - 1.0, 0.0), max(3 * aa - s.real, 0.0)):
             with np.errstate(divide="ignore"):  # inf where cn <= q
                 tail = np.exp(lw - cn) / np.maximum(cn - q, 0.0)
@@ -281,8 +311,9 @@ def _xi_integral(s: complex, a: int, tol: float) -> tuple[complex, float]:
     the theta cut at R."""
     import numpy as np
     inner = min(1e-12, tol * 1e-3)
-    R = _theta_radius(1.0, a, inner)  # theta(v) for every v >= 1 needs no more
-    K = _theta_abs_bound(a, R)
+    R = _theta_radius(1.0, a, inner)[0]  # theta(v) for every v >= 1 needs no more
+    # |theta(v, a) - [a = 0]| <= K e^{-cv} for all v >= 1
+    K = math.exp(C_THETA) * (6.0 * float(np.add.reduce(_sector_terms(1.0, a, R)[0], axis=-1)))
     m = max(s.real + 3 * a - 1.0, -s.real + 3 * a, 0.0)
     V = max(4.0, 4.0 * m / C_THETA)
     while K * math.exp(-C_THETA * V + m * math.log(V)) * 2.0 / C_THETA > tol / 4.0:
@@ -303,7 +334,7 @@ def _xi_integral(s: complex, a: int, tol: float) -> tuple[complex, float]:
         w = np.tile((h / 2.0) * gl_w, P)
         lv = np.log(v)
         g = np.exp((s + 3 * a - 1) * lv) + np.exp((-s + 3 * a) * lv)
-        f = _sector_theta(v, a, R) * g
+        f = 6.0 * np.add.reduce(_sector_terms(v, a, R)[1], axis=-1) * g
         val = complex(np.add.reduce(w * f))  # pairwise, not BLAS: the same bits on any thread count
         floor = 1e-13 * float(np.add.reduce(w * np.abs(f)))
         if prev is not None and abs(val - prev) <= max(tol / 4.0, floor):

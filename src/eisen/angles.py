@@ -29,6 +29,10 @@ from .analytic import li
 from .factor import CirclePointSet, circle_points, primes_up_to
 
 PI_6 = math.pi / 6.0
+# below every split prime angle up to 1e8: p = a^2 + ab + b^2 <= 1e8, a > b >= 1, has a < 10^4
+# and angle atan(b sqrt3 / (2a + b)), whose tangent is at least sqrt3 / (2a + 1)
+_MIN_SPLIT_ANGLE = math.atan(math.sqrt(3.0) / 20001.0)
+_K_MAX = 6 << 16  # bad_circle's largest k: 6 * 2^16 points
 
 
 def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -187,12 +191,13 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
     Take the smallest m with 6 * 2^m >= k and multiply the m smallest
     split primes whose angles lie in (0, epsilon/m]; each of the
     6 * 2^m points then has angle j*pi/3 + (sum of m signed angles),
-    off by at most m * (epsilon/m) = epsilon.
+    off by at most m * (epsilon/m) = epsilon.  k is capped at 6 * 2^16,
+    and the primes are sought below 1e8.
     """
     if not (0 < epsilon < PI_6):
         raise ValueError("epsilon must lie in (0, pi/6)")
-    if k < 1:
-        raise ValueError("k >= 1 required")
+    if not (1 <= k <= _K_MAX):
+        raise ValueError(f"k must lie in 1..{_K_MAX}")
     m = 0
     while 6 * (1 << m) < k:
         m += 1
@@ -201,6 +206,8 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
         n = 1
     else:
         delta = epsilon / m
+        if delta < _MIN_SPLIT_ANGLE:
+            raise ValueError(f"no split prime below 1e8 has angle <= epsilon/m = {delta:.3g}; use a larger epsilon")
         bound = 10**5
         while True:
             p_arr, t_arr = factor.split_prime_angles(bound)
@@ -209,9 +216,7 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
                 primes = tuple(int(p) for p in qual[:m])
                 break
             if bound >= 10**8:
-                raise RuntimeError(
-                    f"fewer than {m} split primes with angle <= {delta:.3g} below 1e8"
-                )
+                raise ValueError(f"fewer than {m} split primes with angle <= {delta:.3g} below 1e8; use a larger epsilon")
             bound *= 10
         n = math.prod(primes)
     pts = circle_points(n)

@@ -216,8 +216,8 @@ def _cmd_bq(args, out: _Output) -> None:
 def _cmd_theta(args, out: _Output) -> None:
     from . import analytic
     tol = args.tol if args.tol is not None else 1e-12
-    val = analytic.theta(args.t, args.a, tol)
-    out.emit({"t": args.t, "a": args.a}, _round15(val), error_estimate=tol)
+    val, err = analytic._theta_with_error(args.t, args.a, tol)
+    out.emit({"t": args.t, "a": args.a}, _round15(val), error_estimate=_round15(err))
 
 
 def _cmd_theta_check(args, out: _Output) -> None:

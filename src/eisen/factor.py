@@ -516,26 +516,26 @@ def sector_bands(x: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         yield n[order], t[order]
 
 
-_CACHE_MAX = 4 * 10**6  # largest x whose tables are kept
-_tables: dict[str, tuple[int, np.ndarray, np.ndarray]] = {}
+_CACHE_MAX = 4 * 10**6  # largest x whose split-prime table is kept (2.3 MB at the cap)
+_split_primes: tuple[int, np.ndarray, np.ndarray] | None = None  # (x, p, theta_p) kept by split_prime_angles
 
 
-def _prefix_cached(name: str, x: int, build) -> tuple[np.ndarray, np.ndarray]:
-    """build(x) = (keys, values), keys sorted.  Per name, keeps the table of
-    the largest x <= _CACHE_MAX asked for (2.3 MB of split primes at the
-    cap; theta's sector points stop at 1e6, 10 MB) and slices it for a
-    smaller x; a larger x is built and not kept."""
-    kept = _tables.get(name)
+def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, theta_p) for every split prime p <= x, sorted by p.
+
+    Keeps the half-sector points with a > b >= 1 whose norm is a prime;
+    each split prime has exactly one such representative, and its
+    angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
+    lookup.  The table of the largest x <= _CACHE_MAX asked for is kept
+    and sliced for a smaller x.
+    """
+    global _split_primes
+    if x > 10**8:
+        raise ValueError("split prime enumeration capped at 1e8")
+    kept = _split_primes
     if kept is not None and kept[0] >= x:
         k = kept[1].searchsorted(x, side="right")
         return kept[1][:k], kept[2][:k]
-    keys, values = build(x)
-    if x <= _CACHE_MAX:
-        _tables[name] = (x, keys, values)
-    return keys, values
-
-
-def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     prime = _sieve(x)
     ps = [np.empty(0, dtype=np.int64)]
@@ -545,17 +545,7 @@ def _build_split_primes(x: int) -> tuple[np.ndarray, np.ndarray]:
         keep = keep[np.argsort(n[keep])]  # one point per split prime: no ties
         ps.append(n[keep])
         ts.append(sector_angles(a[keep], b[keep]))
-    return np.concatenate(ps), np.concatenate(ts)
-
-
-def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (p, theta_p) for every split prime p <= x, sorted by p.
-
-    Keeps the half-sector points with a > b >= 1 whose norm is a prime;
-    each split prime has exactly one such representative, and its
-    angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
-    lookup.  Cached up to _CACHE_MAX; served uncached up to 1e8.
-    """
-    if x > 10**8:
-        raise ValueError("split prime enumeration capped at 1e8")
-    return _prefix_cached("sp", x, _build_split_primes)
+    ps, ts = np.concatenate(ps), np.concatenate(ts)
+    if x <= _CACHE_MAX:
+        _split_primes = (x, ps, ts)
+    return ps, ts

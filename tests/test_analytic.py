@@ -132,18 +132,19 @@ def test_theta_large_t_tail():
     assert abs(theta(11.0, 0) - 1.0) < 1e-15
 
 
-def test_theta_slices_the_cached_sector_table(monkeypatch):
-    # theta keeps the joined sector bands of the largest R asked for and
-    # slices them for a smaller R; the slice gives the bits of a fresh build
-    monkeypatch.setattr(factor, "_tables", {})
-    theta(0.05, 0)
-    big = factor._tables["pts"]
-    sliced = [theta(t, a) for t, a in ((1.0, 1), (0.3, 4), (3.0, 0))]
-    assert factor._tables["pts"] is big  # every R above was served from it
-    norms, angs = (np.concatenate(arrs) for arrs in zip(*factor.sector_bands(big[0])))
-    assert np.array_equal(big[1], norms) and np.array_equal(big[2], angs)
-    monkeypatch.setattr(factor, "_tables", {})
-    assert [theta(t, a) for t, a in ((1.0, 1), (0.3, 4), (3.0, 0))] == sliced
+def test_theta_slices_the_cached_sector_table():
+    # one fixed table, the joined sector bands to norm 4096, serves every
+    # radius; its slice at R holds the bits of a fresh build to R
+    norms, logs, angs = analytic._sector_table()
+    want = [np.concatenate(arrs) for arrs in zip(*factor.sector_bands(analytic._TABLE_NORMS))]
+    assert np.array_equal(norms, want[0]) and np.array_equal(angs, want[1])
+    assert np.array_equal(logs, np.log(want[0]))
+    assert norms.size == 2474 and analytic._sector_table() is analytic._sector_table()
+    for R in (1, 7, 650, 2984):
+        got_n, got_l, got_a = analytic._sector_points(R)
+        fresh_n, fresh_a = (np.concatenate(arrs) for arrs in zip(*factor.sector_bands(R)))
+        assert np.array_equal(got_n, fresh_n) and np.array_equal(got_a, fresh_a), R
+        assert np.array_equal(got_l, np.log(fresh_n)), R
 
 
 def test_theta_validation():
@@ -154,13 +155,60 @@ def test_theta_validation():
         theta(1.0, -1)
     with pytest.raises(ValueError):
         theta(1.0, 0, tol=0.0)
-    with pytest.raises(ValueError):
-        theta(1e-5, 1)  # would need over 1e6 shells
+    with pytest.raises(ValueError, match="underflows"):
+        theta(1e-5, 1)  # every term is below the smallest double
+    with pytest.raises(ValueError, match="underflows"):
+        theta(300.0, 1)
     for t in (3e-7, 1e-12):
-        with pytest.raises(ValueError, match="1e6 shells"):
-            theta(t, 0, tol=1e300)  # a loose tol, but the search starts past 1e6
+        # a loose tol, folded onto theta(1/t, 0) = 1 + 6 e^{-c/t} + ...
+        assert abs(t * theta(t, 0, tol=1e300) - 1.0) <= 1e-15
     with pytest.raises(ValueError, match="overflows"):
         theta(0.3, 60)  # n^{3a} e^{-ctn} passes the double range
+    with pytest.raises(ValueError, match="norms past 4096"):
+        theta(0.5, 10**5)  # only a theta past the double range needs them
+    assert math.isfinite(theta(0.01, 30))  # 1.7e205: the fold's factor stays in each term's exponent
+
+
+def test_theta_small_t_regression():
+    # the lattice sum at t = 0.05 cancels to roundoff (it gave -4550.86);
+    # the fold gives t^{-25} theta(20, 4)
+    val, err = analytic._theta_with_error(0.05, 4, 1e-12)
+    assert abs(val - 62.3704583071145665) <= err < 1e-11
+
+
+# theta(t, a) for t < 1 by a direct sum over the whole lattice in mpmath at
+# 60 digits, mu^{6a} in exact integer arithmetic, cut where the terms fall
+# below 1e-45: independent of the transformation law
+THETA_SMALL_T = [
+    (0.05, 0, 19.99999999999999889), (0.05, 1, 2.3792441675992824109e-22),
+    (0.05, 2, 1.5227162672635402358e-14), (0.05, 4, 62.370458307114566513),
+    (0.1, 0, 10.000000000000010006), (0.1, 1, 1.0560637781697482293e-8),
+    (0.1, 2, 0.010560637781697478776), (0.1, 4, 10560637781.697471741),
+    (0.2, 0, 5.0000003980069930347), (0.2, 1, 0.0062188592705039700641),
+    (0.2, 2, 97.169676101637429678), (0.2, 4, 23723065456.717304891),
+    (0.5, 0, 2.0084779185979199829), (0.5, 1, 0.54257921929415227724),
+    (0.5, 2, 34.738222878467412576), (0.5, 4, 180806.66515889726284),
+    (0.9, 0, 1.2295658656545424709), (0.9, 1, 0.22100373592159105313),
+    (0.9, 2, 0.52533725897535972209), (0.9, 4, 389.79555585621105269),
+]
+
+
+@pytest.mark.parametrize("t, a, want", THETA_SMALL_T)
+def test_theta_error_estimate_bounds_true_error(t, a, want):
+    for tol in (1e-6, 1e-12, 1e-300):
+        val, err = analytic._theta_with_error(t, a, tol)
+        assert abs(val - want) <= err, tol
+        assert val == theta(t, a, tol)
+
+
+def test_transformation_law_is_not_the_fold(monkeypatch):
+    # the residual compares two direct lattice sums; with a wrong decay
+    # constant the law fails, which a residual that folded one side onto
+    # the other could not see
+    assert theta_transform_residual(0.5, 1) < 1e-8
+    monkeypatch.setattr(analytic, "C_THETA", C_THETA * 1.01)
+    for t in (0.5, 2.0):
+        assert theta_transform_residual(t, 1) > 1e-3
 
 
 def test_transformation_law():

@@ -198,3 +198,34 @@ def test_bad_circle_validation():
         bad_circle(PI_6, 10)
     with pytest.raises(ValueError):
         bad_circle(0.1, 0)
+
+
+def _no_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built a table")
+    monkeypatch.setattr(angles.factor, "split_prime_angles", refuse)
+    monkeypatch.setattr(angles, "circle_points", refuse)
+
+
+def test_bad_circle_rejects_a_huge_k_before_building(monkeypatch):
+    _no_tables(monkeypatch)
+    for k in (angles._K_MAX + 1, 10**11):
+        with pytest.raises(ValueError, match="k must lie"):
+            bad_circle(0.1, k)
+
+
+def test_bad_circle_rejects_an_angle_no_prime_reaches(monkeypatch):
+    # no split prime below 1e8 has an angle under atan(sqrt3 / 20001)
+    _no_tables(monkeypatch)
+    for eps, k in ((1e-9, 12), (1e-4, 48)):
+        with pytest.raises(ValueError, match="no split prime"):
+            bad_circle(eps, k)
+
+
+def test_bad_circle_too_few_primes_is_a_rejection(monkeypatch):
+    # an epsilon/m just above the threshold passes it, and no table up to
+    # 1e8 then holds a qualifying prime (the tables are stood in for by 1e5)
+    small = angles.factor.split_prime_angles(10**5)
+    monkeypatch.setattr(angles.factor, "split_prime_angles", lambda x: small)
+    with pytest.raises(ValueError, match="fewer than 1 split primes"):
+        bad_circle(angles._MIN_SPLIT_ANGLE * 1.00001, 12)

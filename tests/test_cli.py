@@ -85,7 +85,7 @@ def test_json_round_trip(capsys):
 def test_theta_record_carries_error_estimate(capsys):
     assert run(["theta", "1.0", "1", "--tol", "1e-10"]) == 0
     rec = json.loads(_lines(capsys)[0])
-    assert rec["error_estimate"] == 1e-10
+    assert 0 < rec["error_estimate"] <= 1e-10  # the bound theta reached, not the tol asked for
     assert rec["params"] == {"t": 1.0, "a": 1}
 
 
@@ -190,7 +190,7 @@ def test_rejected_arguments_exit_2(capsys):
     capsys.readouterr()
     assert run(["theta", "-1.0", "0"]) == 2
     capsys.readouterr()
-    # a truncation radius beyond 1e6 shells is a limit on the input
+    # every term of theta(1e-6, 1) = t^{-7} theta(1e6, 1) is below the smallest double
     assert run(["theta", "1e-06", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
@@ -200,6 +200,10 @@ def test_rejected_arguments_exit_2(capsys):
     assert captured.err.startswith("error:") and captured.out == ""
     # a theta beyond the double range is not finite
     assert run(["theta", "0.3", "60"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    # no split prime below 1e8 has an angle as small as 1e-9
+    assert run(["bad-circle", "1e-9", "12"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
 

@@ -379,21 +379,20 @@ def test_is_prime_rejects_psi13():
     assert is_prime(PSI_13) is False
 
 
-@pytest.mark.parametrize("build, name", [(split_prime_angles, "sp")])
-def test_table_cache_slices_to_a_fresh_build(build, name, monkeypatch):
-    monkeypatch.setattr(factor, "_tables", {})
-    build(20000)
-    sliced = build(3001)  # a split prime, so the slice must include its own norm
-    assert factor._tables[name][0] == 20000  # 3001 was served from the 20000 table
-    monkeypatch.setattr(factor, "_tables", {})
-    fresh = build(3001)
+def test_table_cache_slices_to_a_fresh_build(monkeypatch):
+    monkeypatch.setattr(factor, "_split_primes", None)
+    split_prime_angles(20000)
+    sliced = split_prime_angles(3001)  # a split prime, so the slice must include its own norm
+    assert factor._split_primes[0] == 20000  # 3001 was served from the 20000 table
+    monkeypatch.setattr(factor, "_split_primes", None)
+    fresh = split_prime_angles(3001)
     assert all(np.array_equal(got, want) for got, want in zip(sliced, fresh))
 
 
 def test_table_cache_keeps_table_above_the_cap(monkeypatch):
-    monkeypatch.setattr(factor, "_tables", {})
+    monkeypatch.setattr(factor, "_split_primes", None)
     kept = split_prime_angles(5000)
     ps, _ = split_prime_angles(factor._CACHE_MAX + 1)
     assert int(ps[-1]) <= factor._CACHE_MAX + 1 and ps.size > kept[0].size
-    x, cp, ct = factor._tables["sp"]
+    x, cp, ct = factor._split_primes
     assert x == 5000 and cp is kept[0] and ct is kept[1]

@@ -1,8 +1,9 @@
 """Invariant checks are explicit raises, so they survive python -O; the
 package runs on numpy and the standard library alone, and loads numpy only
-for the lattice statistics; its one module-level cache is the bounded table
-cache in factor; the eisen process runs on one thread unless the caller sets
-OPENBLAS_NUM_THREADS, and no output depends on the BLAS thread count."""
+for the lattice statistics; its one module-level cache is the bounded
+split-prime table in factor; the eisen process runs on one thread unless
+the caller sets OPENBLAS_NUM_THREADS, and no output depends on the BLAS
+thread count."""
 
 import ast
 import importlib
@@ -26,10 +27,12 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def _module_dicts(source: str) -> list[str]:
-    """Names bound at module level to an empty {} or a dict() call."""
+def _module_caches(source: str) -> list[str]:
+    """Names bound at module level to an empty {} or a dict() call, or
+    rebound by a function through a global statement."""
     found = []
-    for node in ast.parse(source).body:
+    tree = ast.parse(source)
+    for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
             v = node.value
             if (isinstance(v, ast.Dict) and not v.keys) or (
@@ -37,14 +40,16 @@ def _module_dicts(source: str) -> list[str]:
             ):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 found += [ast.unparse(t) for t in targets]
+    found += [name for node in ast.walk(tree) if isinstance(node, ast.Global) for name in node.names]
     return found
 
 
 def test_one_module_level_cache():
-    # any other cache goes through factor._prefix_cached or functools.lru_cache
-    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py")) for name in _module_dicts(path.read_text())]
-    assert found == ["factor.py:_tables"]
-    assert _module_dicts("_split_record_cache: dict[int, object] = {}\nx = dict()") == ["_split_record_cache", "x"]
+    # any other cache goes through functools.lru_cache
+    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py")) for name in _module_caches(path.read_text())]
+    assert found == ["factor.py:_split_primes"]
+    source = "_split_record_cache: dict[int, object] = {}\nx = dict()\ndef f():\n    global kept\n    kept = 1"
+    assert _module_caches(source) == ["_split_record_cache", "x", "kept"]
 
 
 def _fresh(code: str, **env: str) -> str:
@@ -74,8 +79,10 @@ def test_import_loads_no_scipy():
 
 def test_sector_rejects_li_2_before_loading_numpy():
     # Li(2) = 0 leaves the ratio undefined, and an x below 2 or an empty phi
-    # range is rejected too; all of it is known before the prime table is built
-    for argv in (["sector", "2", "-0.1", "0.1"], ["sector", "1000", "0.3", "0.1"], ["sector", "1", "-0.1", "0.1"]):
+    # range is rejected too; all of it is known before the prime table is built.
+    # So is a theta whose every term underflows, from its n = 1 term
+    for argv in (["sector", "2", "-0.1", "0.1"], ["sector", "1000", "0.3", "0.1"], ["sector", "1", "-0.1", "0.1"],
+                 ["theta", "1e-06", "1"]):
         code = f"from eisen import cli\nif cli.run({argv!r}) != 2: raise SystemExit(1)"
         assert {"numpy", "scipy"}.isdisjoint(_loaded(code)), argv
 
