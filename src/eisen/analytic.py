@@ -7,8 +7,7 @@ The theta function of the character chi^{6a} is
 
 (the mu = 0 term contributes 1 only when a = 0).  Conjugation symmetry
 of the lattice makes the sum real, and Poisson summation gives the
-transformation law theta(t, a) = t^{-1-6a} theta(1/t, a), by which theta
-folds t < 1 onto 1/t, so one fixed table of sector points serves every sum.
+transformation law theta(t, a) = t^{-1-6a} theta(1/t, a), used for t < 1.
 
 For Re s > 1 the L-function is the absolutely convergent lattice sum
 L(s, chi^{6a}) = (1/6) sum mu^{6a} / |mu|^{2s+6a}, and the completed
@@ -112,17 +111,14 @@ def _theta_radius(t: float, a: int, tol: float) -> tuple[int, float]:
     Shell n holds at most r_Q(n) <= 12n points of weight n^{3a}e^{-ctn},
     and past n0 = 2(3a+1)/(ct) consecutive terms shrink by at least
     e^{-ct/2}, so the tail is geometrically dominated.  Only a theta whose
-    terms pass the double range needs an R past _TABLE_NORMS (at any tol,
-    R <= 636 for t >= 1 and R <= 2,947 on [0.2, 5] otherwise, measured).
+    terms pass the double range needs an R past _TABLE_NORMS.
     """
     ct = C_THETA * t
     n = max(1, int(2 * (3 * a + 1) / ct) + 1)
     denom = -math.expm1(-ct / 2.0)
     while True:
         if n > _TABLE_NORMS:  # also a start past it
-            raise ValueError(
-                f"theta at a = {a} needs norms past {_TABLE_NORMS}, where its terms pass the double range; use a smaller a"
-            )
+            raise ValueError(f"theta at a = {a} needs norms past {_TABLE_NORMS}, past the double range; use a smaller a")
         log_tail = math.log(12.0) + (3 * a + 1) * math.log(n + 1) - ct * (n + 1) - math.log(denom)
         if log_tail < math.log(tol):
             return n, log_tail
@@ -137,56 +133,42 @@ def _sector_table():
     return norms, np.log(norms), angs
 
 
-def _sector_points(R: int):
-    """(norms, log norms, angles) of the sector to norm R <= _TABLE_NORMS, sliced from the table."""
+def _sector_terms(t, a: int, R: int, shift: float = 0.0):
+    """(w, w cos(6a arg mu)) over the sector to norm R, w = exp(3a log n + shift - ctn),
+    for a float t or per element of an array of t along a last axis.  6 times the
+    second's sum is e^shift (theta(t, a) - [a = 0]), as mu^{6a} is the same on all
+    six associates; 6 times the sum of w bounds it.  A term overflows only where it
+    passes the double range; callers sum in the fixed (norm, angle) order."""
+    import numpy as np
     norms, logs, angs = _sector_table()
     k = norms.searchsorted(R, side="right")
-    return norms[:k], logs[:k], angs[:k]
-
-
-def _sector_terms(t, a: int, R: int, shift: float = 0.0):
-    """(w, terms) over the fundamental sector to norm R, for a float t or
-    along a last axis per element of an array of t: w = exp(3a log n + shift
-    - ct n) and terms = w cos(6a arg mu).
-
-    mu^{6a} is the same on all six associates (w^{6a} = 1), so 6 times the
-    sum of terms is e^shift theta(t, a) without the mu = 0 term, and 6 times
-    the sum of w bounds its size.  In this polar form n^{3a} e^shift
-    overflows only where a term itself passes the double range (theta then
-    rejects the sum); callers sum in the fixed (norm, angle) order.
-    """
-    import numpy as np
-    norms, logs, angs = _sector_points(R)
     t = np.asarray(t, dtype=np.float64)
-    w = np.exp((3.0 * a * logs + shift) - C_THETA * t[..., None] * norms)
-    return w, (w * np.cos(6.0 * a * angs) if a != 0 else w)
+    w = np.exp((3.0 * a * logs[:k] + shift) - C_THETA * t[..., None] * norms[:k])
+    return w, (w * np.cos(6.0 * a * angs[:k]) if a != 0 else w)
 
 
 def _theta_with_error(t: float, a: int, tol: float, fold: bool = True) -> tuple[float, float]:
-    """theta(t, a) and a bound on its error.
-
-    With fold, a t < 1 gives t^{-1-6a} theta(1/t, a): theta(1/t) is asked
-    for tol t^{1+6a} (at least the smallest double), and the factor's log
-    goes into each term's exponent.  The bound is the tail past R plus the
-    roundoff: each term's exponent and cosine argument carry a few ulps of
-    their size, at most e_max, so 2^{-51} (1 + e_max) of the unsigned sum.
-    """
+    """theta(t, a) and a bound on its error.  With fold, a t < 1 gives
+    t^{-1-6a} theta(1/t, a), theta(1/t) asked for tol t^{1+6a} (at least the
+    smallest double), the factor's log in each term's exponent.  The bound is
+    the tail past R plus the roundoff: each term's exponent and cosine argument
+    carry a few ulps of their size, at most e_max, so 2^{-51} (1 + e_max) of
+    the unsigned sum."""
     if not math.isfinite(t) or t <= 0:
         raise ValueError("finite t > 0 required")
     if a < 0:
         raise ValueError("a >= 0 required")
     if tol <= 0:
         raise ValueError("tol > 0 required")
-    t0, shift = t, 0.0
+    t0, shift, one = t, 0.0, float(a == 0)  # one: the mu = 0 term
     if fold and t < 1.0:
         shift = -(1.0 + 6.0 * a) * math.log(t)  # log t^{-1-6a}
         tol = max(tol * t ** (1.0 + 6.0 * a), 5e-324)
-        t = 1.0 / t
+        t, one = 1.0 / t, one / t
     # where 3a <= ct no term passes the n = 1 term 6 e^{shift - ct} (the fold implies it where that underflows)
     if a >= 1 and 3 * a <= C_THETA * t and math.log(6.0) + shift - C_THETA * t < math.log(5e-324):
         raise ValueError(f"theta at t = {t0:g}, a = {a} underflows double precision; use a t nearer 1")
     R, log_tail = _theta_radius(t, a, tol)
-    one = (a == 0) / min(t0, 1.0)  # the mu = 0 term, t^{-1} when folded
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         w, terms = _sector_terms(t, a, R, shift)
@@ -201,7 +183,8 @@ def _theta_with_error(t: float, a: int, tol: float, fold: bool = True) -> tuple[
 
 
 def theta(t: float, a: int, tol: float = 1e-12) -> float:
-    """theta(t, a) to tol, from the lattice sum at t >= 1 only; the result is real."""
+    """theta(t, a), real, from the lattice sum at t >= 1 only.  For t < 1 the fold's roundoff can
+    pass a tight tol (4.5e-12 at t = 0.05, a = 4); _theta_with_error returns the real bound."""
     return _theta_with_error(t, a, tol)[0]
 
 
@@ -242,8 +225,9 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
         # q = max(p, 0) for p in {sigma + 3a - 1, 3a - sigma}; shell by shell, int_1^inf e^{-cnv} v^q dv is
         # at most Gamma(q+1)/(cn)^{q+1}, or e^{-cn}/(cn - q) where cn > q, as (1+u)^q <= e^{qu}
         import numpy as np
-        n, logn, _ = _sector_points(_theta_radius(1.0, aa, 1e-12)[0])
-        cn, lw, floor = C_THETA * n, 3 * aa * logn, 0.0  # lw = log n^{3a}
+        n, logn, _ = _sector_table()
+        k = n.searchsorted(_theta_radius(1.0, aa, 1e-12)[0], side="right")
+        cn, lw, floor = C_THETA * n[:k], 3 * aa * logn[:k], 0.0  # lw = log n^{3a}
         for q in (max(s.real + 3 * aa - 1.0, 0.0), max(3 * aa - s.real, 0.0)):
             with np.errstate(divide="ignore"):  # inf where cn <= q
                 tail = np.exp(lw - cn) / np.maximum(cn - q, 0.0)

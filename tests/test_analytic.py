@@ -141,10 +141,10 @@ def test_theta_slices_the_cached_sector_table():
     assert np.array_equal(logs, np.log(want[0]))
     assert norms.size == 2474 and analytic._sector_table() is analytic._sector_table()
     for R in (1, 7, 650, 2984):
-        got_n, got_l, got_a = analytic._sector_points(R)
+        w, terms = analytic._sector_terms(1.5, 2, R)
         fresh_n, fresh_a = (np.concatenate(arrs) for arrs in zip(*factor.sector_bands(R)))
-        assert np.array_equal(got_n, fresh_n) and np.array_equal(got_a, fresh_a), R
-        assert np.array_equal(got_l, np.log(fresh_n)), R
+        want = np.exp(6.0 * np.log(fresh_n) - C_THETA * 1.5 * fresh_n)
+        assert np.array_equal(w, want) and np.array_equal(terms, want * np.cos(12.0 * fresh_a)), R
 
 
 def test_theta_validation():
@@ -199,6 +199,15 @@ def test_theta_error_estimate_bounds_true_error(t, a, want):
         val, err = analytic._theta_with_error(t, a, tol)
         assert abs(val - want) <= err, tol
         assert val == theta(t, a, tol)
+
+
+def test_unfolded_theta_keeps_the_mu_zero_term_at_one():
+    # without the fold a t < 1 is summed directly, and the mu = 0 term is 1,
+    # not the folded sum's t^{-1}; for a = 0 the terms do not cancel
+    for t in (0.5, 0.9):
+        val, err = analytic._theta_with_error(t, 0, 1e-12, fold=False)
+        assert abs(val - theta(t, 0)) <= 1e-12 * val, t
+        assert err < 1e-12, t
 
 
 def test_transformation_law_is_not_the_fold(monkeypatch):
