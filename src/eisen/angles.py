@@ -26,13 +26,19 @@ import numpy as np
 
 from . import factor
 from .analytic import li
+from .core import _arg
 from .factor import CirclePointSet, circle_points, primes_up_to
 
 PI_6 = math.pi / 6.0
-# below every split prime angle up to 1e8: p = a^2 + ab + b^2 <= 1e8, a > b >= 1, has a < 10^4
-# and angle atan(b sqrt3 / (2a + b)), whose tangent is at least sqrt3 / (2a + 1)
-_MIN_SPLIT_ANGLE = math.atan(math.sqrt(3.0) / 20001.0)
-_K_MAX = 6 << 16  # bad_circle's largest k: 6 * 2^16 points
+_K_MAX = 6 << 16  # bad_circle's largest k: 6 * 2^16 points, so m <= 16
+# The 16 smallest angles of split primes p <= 1e8, ascending.  The angle of
+# p = a^2 + ab + b^2, a > b >= 1, has tangent b sqrt3 / (2a + b) with
+# 2a + b < 2 * 10^4, so every row b >= 2 stays above sqrt3 / 10^4 and these
+# are all on row b = 1: p = a^2 + a + 1 prime, for the largest such a <= 9999.
+_SMALLEST_SPLIT_ANGLES = tuple(
+    _arg(a, 1)
+    for a in (9999, 9996, 9989, 9975, 9971, 9966, 9962, 9960, 9957, 9950, 9947, 9924, 9918, 9912, 9908, 9899)
+)
 
 
 def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -206,7 +212,8 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
         n = 1
     else:
         delta = epsilon / m
-        if delta < _MIN_SPLIT_ANGLE:
+        # a few ulps of margin: at the edge the table walk decides
+        if delta < _SMALLEST_SPLIT_ANGLES[m - 1] * (1.0 - 2.0**-50):
             raise ValueError(f"no split prime below 1e8 has angle <= epsilon/m = {delta:.3g}; use a larger epsilon")
         bound = 10**5
         while True:

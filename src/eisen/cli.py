@@ -69,9 +69,8 @@ def _threads(args) -> int:
 
 def _cmd_points(args, out: _Output) -> None:
     from . import factor
-    pts = factor.circle_points(args.n)
-    for z in pts.points:
-        out.emit({"n": args.n}, {"a": z.a, "b": z.b, "angle": _round15(z.arg())})
+    for angle, a, b in factor._circle_args(args.n):  # circle_points' order and angles
+        out.emit({"n": args.n}, {"a": a, "b": b, "angle": _round15(angle)})
 
 
 def _cmd_rq(args, out: _Output) -> None:

@@ -75,16 +75,19 @@ class EisensteinInt:
         """Argument in [-pi, pi); zero input rejected."""
         if self.a == 0 and self.b == 0:
             raise ValueError("argument of zero is undefined")
-        phi = math.atan2(self.b * SQRT3 / 2.0, self.a + self.b / 2.0)
-        if phi == math.pi:
-            phi = -math.pi
-        return phi
+        return _arg(self.a, self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}w"
+
+
+def _arg(a: int, b: int) -> float:
+    """arg(a + b*w) in [-pi, pi) for nonzero integer coordinates (a, b)."""
+    phi = math.atan2(b * SQRT3 / 2.0, a + b / 2.0)
+    return -math.pi if phi == math.pi else phi
 
 
 ZERO = EisensteinInt(0, 0)

@@ -6,10 +6,13 @@ discrepancy is
     Delta(n) = sup over arcs [alpha, beta) of | #{j: phi_j in arc}/N - (beta-alpha)/(2 pi) |.
 
 With G(t) = #{j: phi_j < t}/N - t/(2 pi), an arc's signed error is
-G(beta) - G(alpha), so Delta = sup G - inf G over [0, 2 pi], where G
-takes its extreme values only at 0 or at the jump points: the supremum
-uses the right limits G(phi+) and the infimum the left limits G(phi-).
-That gives an exact O(N log N) evaluation.
+G(beta) - G(alpha), so Delta = sup G - inf G, where G takes its extreme
+values at its jumps: the supremum at the right limits G(phi+) and the
+infimum at the left limits G(phi-).  The points are six rotated copies
+of the m = N/6 points in the fundamental sector [-pi/6, pi/6), so G has
+period pi/3, and one sweep over the sector angles, measured from the
+-pi/6 ray, gives Delta exactly in O(m log m).  discrepancy_exact (one
+circle) and discrepancy_survey (every circle up to x) share that sweep.
 
 The census side: a circle is populated iff some lattice point has norm
 n (iff every inert prime divides n to an even power); b_q(x) counts
@@ -27,8 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import factor
+from .core import _arg
 
 TWO_PI = 2.0 * math.pi
+PI_6 = math.pi / 6.0
 
 # exponent ceiling for the survey power law N^{-gamma}
 GAMMA_MAX = math.log(math.pi) / math.log(2.0) - 1.0
@@ -39,7 +44,7 @@ class DiscrepancyResult:
     n: int
     count: int
     delta: float
-    witness: tuple[float, float]  # arc endpoints attaining the sup (may degenerate)
+    witness: tuple[float, float]  # sorted angles in [0, pi/3) of the sup and inf points
 
 
 def _g_limits(turns: np.ndarray, rank: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
@@ -52,35 +57,39 @@ def _g_limits(turns: np.ndarray, rank: np.ndarray, total) -> tuple[np.ndarray, n
     return rank / total - turns, (rank - 1) / total - turns
 
 
-def _circle_angles(n: int) -> np.ndarray:
-    """Angles arg(mu) of the points on |mu|^2 = n, in circle_points order."""
-    pts = factor.circle_points(n)
-    if pts.count == 0:
+def _sector_args(n: int) -> list[tuple[float, int, int]]:
+    """(arg, a, b) of the m = N/6 sector points of |mu|^2 = n, sorted by arg."""
+    pts = sorted((_arg(a, b), a, b) for a, b in factor._sector_points(n))
+    if not pts:
         raise ValueError(f"no lattice points on |mu|^2 = {n}")
-    return np.array([z.arg() for z in pts.points], dtype=np.float64)
+    return pts
 
 
 def discrepancy_exact(n: int) -> DiscrepancyResult:
-    """Exact Delta(n) over all arcs, with a witness arc.
+    """Exact Delta(n) over all arcs, with a witness arc, in O(m log m)
+    over the m = N/6 sector points.
 
-    The witness (alpha, beta) is the pair of extremal jump locations:
-    arcs just past alpha and through beta realize the sup in the limit;
-    0.0 stands in when the boundary value G(0) = 0 wins.  For a single
-    orbit (N = 6) every gap is equal and the witness degenerates to a
-    point; that matches Delta(1) = 1/6 attained by arbitrarily short
-    arcs around one point.
+    G has period pi/3, so Delta is sup - inf of G over one period, swept
+    from the -pi/6 ray exactly as discrepancy_survey sweeps it.  The
+    witness is the point attaining the sup (right limit) and the point
+    attaining the inf (left limit), each reported as its copy in
+    [0, pi/3), the angle of a point of circle_points(n); the pair is
+    sorted.  The arc from one to the other, closed when the inf point
+    comes first and open otherwise, errs by Delta.  For a single orbit
+    (N = 6) both are the same point: Delta(1) = 1/6 is attained by
+    arbitrarily short arcs around it.
     """
-    # distinct points on one circle have distinct angles
-    u = np.sort(np.mod(_circle_angles(n), TWO_PI))
-    g_right, g_left = _g_limits(u / TWO_PI, np.arange(1, u.size + 1), u.size)
+    pts = _sector_args(n)
+    m = len(pts)
+    # turns from the -pi/6 ray, the angles clamped there as factor.sector_angles clamps
+    turns = (np.maximum([t for t, _, _ in pts], -PI_6) + PI_6) / TWO_PI
+    g_right, g_left = _g_limits(turns, np.arange(1, m + 1), 6 * m)
     i_hi = int(np.argmax(g_right))
     i_lo = int(np.argmin(g_left))
-    sup_g = max(0.0, float(g_right[i_hi]))
-    inf_g = min(0.0, float(g_left[i_lo]))
-    t_hi = float(u[i_hi]) if g_right[i_hi] > 0.0 else 0.0
-    t_lo = float(u[i_lo]) if g_left[i_lo] < 0.0 else 0.0
-    witness = (t_lo, t_hi) if t_lo <= t_hi else (t_hi, t_lo)
-    return DiscrepancyResult(n=n, count=int(u.size), delta=float(sup_g - inf_g), witness=witness)
+    # each end's copy in [0, pi/3): a sector point below the 0 ray turned by w
+    ends = sorted(_arg(a, b) if b >= 0 else _arg(-b, a + b) for _, a, b in (pts[i_lo], pts[i_hi]))
+    delta = float(g_right[i_hi] - g_left[i_lo])
+    return DiscrepancyResult(n=n, count=6 * m, delta=delta, witness=tuple(ends))
 
 
 def discrepancy_random_lower_bound(n: int, arcs: int = 10000, seed: int = 0) -> float:
@@ -91,7 +100,10 @@ def discrepancy_random_lower_bound(n: int, arcs: int = 10000, seed: int = 0) -> 
     """
     if arcs < 1:
         raise ValueError("arcs >= 1")
-    phis = np.sort(np.mod(_circle_angles(n), TWO_PI))
+    args = factor._circle_args(n)
+    if not args:
+        raise ValueError(f"no lattice points on |mu|^2 = {n}")
+    phis = np.sort(np.mod([t for t, _, _ in args], TWO_PI))
     rng = np.random.default_rng(seed)
     ab = rng.uniform(0.0, TWO_PI, size=(arcs, 2))
     alpha = ab.min(axis=1)
@@ -105,17 +117,18 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
     """Erdos-Turan upper bound C (1/T + sum_{k<=T} |Z_k| / k).
 
     Z_k is the k-th moment (1/N) sum_j e^{i k phi_j}.  Six-fold symmetry
-    kills every k not divisible by 6, so only k = 6, 12, ... contribute.
+    kills every k not divisible by 6, and for k = 6, 12, ... the six
+    copies of a sector point add equal terms, so Z_k is the mean over
+    the m sector angles.
     """
     if T < 1:
         raise ValueError("T >= 1")
     if C <= 0:
         raise ValueError("C > 0")
-    phis = _circle_angles(n)
+    phis = np.array([t for t, _, _ in _sector_args(n)])
     total = 1.0 / T
-    for k in range(1, T + 1):
-        zk = np.exp(1j * k * phis).mean()
-        total += abs(zk) / k
+    for k in range(6, T + 1, 6):
+        total += abs(np.exp(1j * k * phis).mean()) / k
     return C * total
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from . import factor
-from .factor import circle_points, factor_int, split_prime_generator
+from .factor import factor_int, split_prime_generator
 
 if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
     import numpy as np
@@ -47,8 +47,7 @@ def exp_sum(n: int, A: int) -> ExpSumValue:
     """Direct angle summation of e^{iA arg mu} over the points of norm n."""
     if A == 0:
         raise ValueError("A = 0 is just r_Q(n); use r_q")
-    pts = circle_points(n)
-    value = sum(cmath.exp(1j * A * z.arg()) for z in pts.points)
+    value = sum(cmath.exp(1j * A * t) for t, _, _ in factor._circle_args(n))
     return ExpSumValue(n, A, complex(value))
 
 

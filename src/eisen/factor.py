@@ -33,6 +33,7 @@ from .core import (
     ONE,
     SQRT3,
     UNITS,
+    _arg,
     canonical_associate,
     eis_conj,
 )
@@ -103,18 +104,25 @@ def _small_primes(x: int) -> list[int]:
 _SMALL_PRIMES = _small_primes(1 << 16)
 
 
+# Floyd steps over all c; the workloads' semiprimes (factors in [1e9, 2e9])
+# took at most 62,035 and 1000000000039 * 1000000000061 takes 859,469
+_RHO_STEPS = 1 << 20
+
+
 def _pollard_rho(n: int) -> int:
-    # Floyd's cycle finding; n odd composite, no factor below 2^16
-    if is_prime(n):
-        return n
+    # Floyd's cycle finding; n odd composite (factor_int checked), no factor below 2^16
+    left = _RHO_STEPS
     for c in range(1, 64):
         x = y = 2
         d = 1
-        while d == 1:
+        while d == 1 and left:
+            left -= 1
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
             d = math.gcd(abs(x - y), n)
+        if d == 1:
+            raise ValueError(f"rho found no factor of {n} within its limit of {_RHO_STEPS} steps")
         if d != n:
             return d
     raise RuntimeError(f"rho failed on {n}")
@@ -347,24 +355,23 @@ class CirclePointSet:
     count: int
 
 
-def _sorted_points(n: int, pts: set[EisensteinInt]) -> CirclePointSet:
-    ordered = tuple(sorted(pts, key=lambda z: (z.arg(), z.a)))
-    return CirclePointSet(n, ordered, len(ordered))
-
-
-def circle_points(n: int) -> CirclePointSet:
-    """All mu with |mu|^2 = n, from the factorization of n.
+def _sector_points(n: int) -> list[tuple[int, int]]:
+    """The m = r_Q(n)/6 points of |mu|^2 = n in the fundamental sector
+    [-pi/6, pi/6) as pairs (a, b), one per associate class; [] when
+    r_Q(n) = 0.
 
     Fix pi_3^(v_3(n)) times the inert part q^(e/2); for each split p^e
-    choose pi_p^j * conj(pi_p)^(e-j), j = 0..e; multiply by the six
-    units.  Points come out sorted by (angle, a).
+    choose pi_p^j * conj(pi_p)^(e-j), j = 0..e; multiply out the choices
+    on (a, b) pairs and turn each product by powers of w into the sector,
+    tested exactly as in_fundamental_sector tests.  The m classes must
+    be distinct.
     """
     if n < 1:
         raise ValueError("circle_points needs n >= 1")
     rational = factor_int(n)
     base = PI3 ** rational.get(3, 0)
-    choices: list[list[EisensteinInt]] = []
-    expected = 6
+    choices: list[list[tuple[int, int]]] = []
+    expected = 1
     for p in sorted(rational):
         e = rational[p]
         if p == 3:
@@ -374,19 +381,44 @@ def circle_points(n: int) -> CirclePointSet:
             if pi is None:
                 raise RuntimeError(f"split prime {p} has no generator")
             expected *= e + 1
-            choices.append([pi**j * eis_conj(pi) ** (e - j) for j in range(e + 1)])
+            choices.append([(z.a, z.b) for z in (pi**j * eis_conj(pi) ** (e - j) for j in range(e + 1))])
         else:
             if e % 2 == 1:
-                return CirclePointSet(n, (), 0)
+                return []
             base = base * EisensteinInt(p, 0) ** (e // 2)
-    partials = [base]
-    for opts in choices:
-        partials = [z * opt for z in partials for opt in opts]
-    pts = {u * z for z in partials for u in UNITS}
-    result = _sorted_points(n, pts)
-    if result.count != expected:
-        raise RuntimeError(f"{result.count} points on |mu|^2 = {n}, expected {expected}")
-    return result
+    partials = [(base.a, base.b)]
+    for opts in choices:  # the product of EisensteinInt, on pairs
+        partials = [(a * c - b * d, a * d + b * c + b * d) for a, b in partials for c, d in opts]
+    sector = []
+    for a, b in partials:
+        for _ in range(6):
+            if 2 * a + b > 0 and a + 2 * b >= 0 and a > b:
+                break
+            a, b = -b, a + b  # times w
+        sector.append((a, b))
+    if len(set(sector)) != expected:
+        raise RuntimeError(f"{6 * len(set(sector))} points on |mu|^2 = {n}, expected {6 * expected}")
+    return sector
+
+
+def _circle_args(n: int) -> list[tuple[float, int, int]]:
+    """(arg, a, b) for every point of |mu|^2 = n, sorted, each arg as
+    EisensteinInt.arg gives it.  The sector points in angle order, then
+    the same order times w, w^2, ..., w^5: the sort merges six runs."""
+    out = sorted((_arg(a, b), a, b) for a, b in _sector_points(n))
+    pts = [(a, b) for _, a, b in out]
+    for _ in range(5):
+        pts = [(-b, a + b) for a, b in pts]  # times w
+        out += [(_arg(a, b), a, b) for a, b in pts]
+    out.sort()
+    return out
+
+
+def circle_points(n: int) -> CirclePointSet:
+    """All mu with |mu|^2 = n, from the factorization of n: the six unit
+    multiples of the sector points of _sector_points, sorted by (angle, a)."""
+    points = tuple(EisensteinInt(a, b) for _, a, b in _circle_args(n))
+    return CirclePointSet(n, points, len(points))
 
 
 def circle_points_bruteforce(n: int) -> CirclePointSet:
@@ -414,7 +446,8 @@ def circle_points_bruteforce(n: int) -> CirclePointSet:
                 z = EisensteinInt((sign - b) // 2, b)
                 if z.norm() == n:
                     pts.add(z)
-    return _sorted_points(n, pts)
+    ordered = tuple(sorted(pts, key=lambda z: (z.arg(), z.a)))
+    return CirclePointSet(n, ordered, len(ordered))
 
 
 # ---------------------------------------------------------------------------

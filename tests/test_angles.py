@@ -18,7 +18,8 @@ from eisen.angles import (
     split_prime_reciprocal_sum,
     theta_equidistribution_stat,
 )
-from eisen.factor import split_prime_generator
+from eisen.core import EisensteinInt
+from eisen.factor import is_prime, split_prime_generator
 
 PI_6 = math.pi / 6.0
 
@@ -215,11 +216,29 @@ def test_bad_circle_rejects_a_huge_k_before_building(monkeypatch):
 
 
 def test_bad_circle_rejects_an_angle_no_prime_reaches(monkeypatch):
-    # no split prime below 1e8 has an angle under atan(sqrt3 / 20001)
+    # no split prime below 1e8 has an angle under 8.6607e-5 (p = 99990001),
+    # and only 15 have one under 8.74e-5 (m = 16 needs 16)
     _no_tables(monkeypatch)
-    for eps, k in ((1e-9, 12), (1e-4, 48)):
+    for eps, k in ((1e-9, 12), (1e-4, 48), (8.66e-5, 12), (16 * 8.74e-5, angles._K_MAX)):
         with pytest.raises(ValueError, match="no split prime"):
             bad_circle(eps, k)
+
+
+def test_smallest_split_angles_lie_on_the_first_rows():
+    # every split prime <= 1e8 on the rows b <= 3, with its angle; a row
+    # b >= 2 point has tangent >= 2 sqrt3 / 2e4, above all 16 values
+    found = []
+    for b in (1, 2, 3):
+        a = b + 1
+        while a * a + a * b + b * b <= 10**8:
+            if is_prime(a * a + a * b + b * b):
+                found.append(EisensteinInt(a, b).arg())
+            a += 1
+    assert tuple(sorted(found)[:16]) == angles._SMALLEST_SPLIT_ANGLES
+    assert angles._SMALLEST_SPLIT_ANGLES[0] == pytest.approx(8.6607e-5, rel=1e-5)
+    assert angles._SMALLEST_SPLIT_ANGLES[15] == pytest.approx(8.7482e-5, rel=1e-5)
+    assert max(found) < math.pi / 6
+    assert math.atan(2 * math.sqrt(3.0) / 20000) > angles._SMALLEST_SPLIT_ANGLES[15]
 
 
 def test_bad_circle_too_few_primes_is_a_rejection(monkeypatch):
@@ -228,4 +247,4 @@ def test_bad_circle_too_few_primes_is_a_rejection(monkeypatch):
     small = angles.factor.split_prime_angles(10**5)
     monkeypatch.setattr(angles.factor, "split_prime_angles", lambda x: small)
     with pytest.raises(ValueError, match="fewer than 1 split primes"):
-        bad_circle(angles._MIN_SPLIT_ANGLE * 1.00001, 12)
+        bad_circle(angles._SMALLEST_SPLIT_ANGLES[0] * 1.00001, 12)

@@ -1,15 +1,22 @@
 """CLI behaviour: record formats, exit codes, flag placement, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+from datetime import timedelta
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import eisen
 from eisen import cli
 from eisen.cli import run
+from eisen.core import EisensteinInt
 
 
 def _lines(capsys):
@@ -202,10 +209,11 @@ def test_rejected_arguments_exit_2(capsys):
     assert run(["theta", "0.3", "60"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
-    # no split prime below 1e8 has an angle as small as 1e-9
-    assert run(["bad-circle", "1e-9", "12"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.out == ""
+    # no split prime below 1e8 has an angle as small as 1e-9, or as 8.66e-5
+    for eps in ("1e-9", "8.66e-5"):
+        assert run(["bad-circle", eps, "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_json_writer_refuses_non_finite_values(capsys, monkeypatch):
@@ -262,3 +270,57 @@ def test_survey_csv(capsys):
     b, m, frac = lines[1].split(",")
     assert (int(b), int(m)) == (4397, 11)
     assert float(frac) == pytest.approx(11 / 4397)
+
+
+_SPLIT = [p for p in range(7, 200) if p % 3 == 1 and all(p % d for d in range(2, p))]
+
+
+@st.composite
+def _circle_n(draw):
+    """n <= 1e15, or a product of small split primes, an inert square and a
+    power of 3 with r_Q up to 6 * 486 = 2916."""
+    if draw(st.booleans()):
+        return draw(st.integers(min_value=-3, max_value=10**15))
+    ps = draw(st.lists(st.sampled_from(_SPLIT), min_size=0, max_size=6, unique=True))
+    exps = [draw(st.integers(min_value=1, max_value=3)) for _ in ps]
+    while math.prod(e + 1 for e in exps) > 486:
+        exps[exps.index(max(exps))] -= 1
+    n = math.prod(p**e for p, e in zip(ps, exps))
+    return n * draw(st.sampled_from((1, 4, 25, 121, 2))) * 3 ** draw(st.integers(min_value=0, max_value=3))
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_circle_delta(angles):
+    """The full-circle sweep: sup - inf of G over the N angles mod 2 pi,
+    G(0) = 0 joining both."""
+    u = np.sort(np.mod(angles, 2.0 * math.pi))
+    i = np.arange(1, u.size + 1)
+    turns = u / (2.0 * math.pi)
+    return max(0.0, float(np.max(i / u.size - turns))) - min(0.0, float(np.min((i - 1) / u.size - turns)))
+
+
+@given(st.sampled_from(("rq", "points", "factor", "expsum", "discrepancy")), _circle_n(),
+       st.integers(min_value=-40, max_value=40))
+@settings(max_examples=80, deadline=timedelta(seconds=3))
+def test_circle_commands_exit_0_with_records_or_2_with_a_reason(command, n, A):
+    argv = [command, str(n)] + ([str(A)] if command == "expsum" else [])
+    code, out, err = _run_captured(argv)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error:") and out == ""
+        return
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert recs or command == "points"  # an empty circle has no points
+    assert all(r["command"] == command and r["params"]["n"] == n for r in recs)
+    if command == "discrepancy":
+        code, out, _ = _run_captured(["points", str(n)])
+        pts = [json.loads(line)["result"] for line in out.splitlines()]
+        angles = [EisensteinInt(p["a"], p["b"]).arg() for p in pts]
+        assert recs[0]["result"]["count"] == len(pts)
+        assert abs(recs[0]["result"]["delta"] - _full_circle_delta(angles)) <= 1e-12

@@ -64,10 +64,42 @@ def test_empty_circle_rejected():
             discrepancy_exact(n)
 
 
+# split-prime products with r_Q = 24..324 (7983607: the bad circle, 48 points)
+_PRODUCTS = (91, 106671, 2685159, 234886276, 5243382325, 84630742141, 242842583311,
+             9898526092, 121937725, 17954733043621, 7983607)
+
+
 def test_sweep_matches_reference():
-    for n in (1, 3, 4, 7, 12, 49, 91, 441, 1729, 7747):
+    # the sector sweep against the full-circle sup - inf, to roundoff
+    for n in (1, 3, 4, 7, 12, 49, 91, 441, 1729, 7747) + _PRODUCTS:
         want = _reference_delta(_circle_angles(n))
-        assert discrepancy_exact(n).delta == pytest.approx(want, abs=1e-12), n
+        assert abs(discrepancy_exact(n).delta - want) <= 1e-15, n
+
+
+def test_witness_arc_errs_by_delta():
+    # both ends are angles of points of the circle, in [0, pi/3); the arc
+    # between them, closed or open, errs by delta
+    for n in (1, 3, 4, 7, 12, 49, 441, 1729, 7747) + _PRODUCTS:
+        r = discrepancy_exact(n)
+        lo, hi = r.witness
+        angles = [a % TWO_PI for a in _circle_angles(n)]
+        assert lo in angles and hi in angles, n
+        assert 0.0 <= lo <= hi < math.pi / 3.0
+        closed = sum(1 for a in angles if lo <= a <= hi)
+        inner = sum(1 for a in angles if lo < a < hi)
+        length = (hi - lo) / TWO_PI
+        err = max(abs(closed / r.count - length), abs(inner / r.count - length))
+        assert abs(err - r.delta) <= 1e-12, n
+
+
+def test_erdos_turan_matches_the_sum_over_every_k():
+    # the moments k not divisible by 6 vanish, and the six copies of a
+    # sector point add equal terms to the others
+    for n in (1, 7, 441, 7747) + _PRODUCTS:
+        phis = np.array(_circle_angles(n))
+        for T in (1, 6, 7, 37, 60):
+            every = 1.0 / T + sum(abs(np.exp(1j * k * phis).mean()) / k for k in range(1, T + 1))
+            assert erdos_turan_bound(n, T) == pytest.approx(4.0 * every, rel=1e-13, abs=0), (n, T)
 
 
 def test_rotation_invariance():

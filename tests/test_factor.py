@@ -1,12 +1,13 @@
 """Prime splitting, factorization over Z[w], and circle point sets."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eisen import factor
+from eisen import cli, factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
 from eisen.expsum import circle_sums
 from eisen.factor import (
@@ -55,6 +56,17 @@ def test_primes_up_to():
     assert factor._small_primes(10**5) == ps.tolist()
     assert factor._SMALL_PRIMES == primes_up_to(1 << 16).tolist()
     assert [factor._small_primes(x) for x in range(4)] == [[], [], [2], [2, 3]]
+
+
+def test_rho_stops_at_its_limit(monkeypatch):
+    # 99991 * 99989 splits in 525 Floyd steps; with 100 allowed over every c
+    # it is rejected, naming the limit, and the CLI exits 2
+    monkeypatch.setattr(factor, "_RHO_STEPS", 100)
+    with pytest.raises(ValueError, match="limit of 100 steps"):
+        factor_int(99991 * 99989)
+    assert cli.run(["factor", str(99991 * 99989)]) == 2
+    monkeypatch.setattr(factor, "_RHO_STEPS", 525)
+    assert factor_int(99991 * 99989) == {99989: 1, 99991: 1}
 
 
 def test_factor_int_examples():
@@ -228,6 +240,47 @@ def test_circle_points_match_bruteforce(n):
     slow = {(z.a, z.b) for z in circle_points_bruteforce(n).points}
     assert fast == slow
     assert len(fast) == r_q(n)
+
+
+# (n, sha256 of repr([(a, b) for each point]) to 16 hex digits), frozen from
+# the set-and-sort circle_points: 441, the bad circle 7983607, and one
+# split-prime product of each size r_Q = 24..2916 of the benchmark patterns
+_FROZEN_CIRCLES = (
+    (441, "295e375ba092d751"), (7983607, "94b13fae98d8cf02"),
+    (91, "2c3ea8c1e6147b46"), (106671, "3ad85565c952d436"), (2685159, "9284954914236cef"),
+    (234886276, "301dfe7e5be30cdb"), (5243382325, "93f63de7727c9799"),
+    (84630742141, "8d8f56745c7f37e9"), (242842583311, "aa61a5e2b1699e89"),
+    (320932595958213, "ee52528ea8730a5c"), (2945606397980481, "bf841efdbe078e8a"),
+    (9898526092, "a14048cf860390b9"), (121937725, "667bfc831e557641"),
+    (17954733043621, "c55d9849ca8b5721"), (393698594662801, "49f693ec11d37418"),
+    (22204773684945003, "ea53e51455ad6a53"), (69652981944503256573, "33fc0d1b86421039"),
+    (41776415943309391453204, "e3f0e2fd02ed87df"), (11994653396339160717175, "5c266e54013f45f9"),
+    (2118872868968172301055081450473, "10d374458a6a6004"),
+    (145582627745249938924177028929, "5159b323b9de3800"), (349056666953642073153, "47b19f25d6840804"),
+)
+
+
+@pytest.mark.parametrize("n, digest", _FROZEN_CIRCLES, ids=[str(n) for n, _ in _FROZEN_CIRCLES])
+def test_circle_points_frozen(n, digest):
+    pts = [(z.a, z.b) for z in circle_points(n).points]
+    assert hashlib.sha256(repr(pts).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 12, 49, 441, 7983607] + [n for n, _ in _FROZEN_CIRCLES[2:]])
+def test_sector_points_are_one_orbit_each(n):
+    sector = factor._sector_points(n)
+    assert len(sector) == r_q(n) // 6
+    assert all(in_fundamental_sector(EisensteinInt(a, b)) for a, b in sector)
+    orbits = {u * EisensteinInt(a, b) for a, b in sector for u in UNITS}
+    assert orbits == set(circle_points(n).points)
+    assert len(orbits) == r_q(n)
+
+
+def test_sector_points_of_empty_circles():
+    for n in (2, 5, 6, 10, 2 * 49):
+        assert factor._sector_points(n) == [] and circle_points(n).count == 0
+    with pytest.raises(ValueError):
+        factor._sector_points(0)
 
 
 def _sector_table(x):
