@@ -41,6 +41,12 @@ _SMALLEST_SPLIT_ANGLES = tuple(
 )
 
 
+def _inert_primes(x: int) -> np.ndarray:
+    """The inert primes q = 2 (mod 3) with q^2 <= x, ascending."""
+    q = primes_up_to(math.isqrt(x))
+    return q[q % 3 == 2]
+
+
 def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prime ideals of norm <= x in two sorted parts: the split primes
     p <= x with their theta_p, and the other ideals as (norms, angles),
@@ -52,8 +58,7 @@ def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
         raise ValueError("ideal enumeration capped at 1e8")
     xi = math.floor(x)
     p_arr, t_arr = factor.split_prime_angles(xi)
-    inert_q = primes_up_to(math.isqrt(xi))
-    inert_q = inert_q[inert_q % 3 == 2]
+    inert_q = _inert_primes(xi)
     ram = 1 if x >= 3 else 0
     other_n = np.concatenate((np.array([3] * ram, dtype=np.int64), inert_q * inert_q))
     other_t = np.concatenate((np.array([-PI_6] * ram), np.zeros(len(inert_q))))
@@ -103,13 +108,26 @@ def sector_count(q: SectorQuery) -> tuple[int, float]:
     """Observed ideal count with angle in [phi1, phi2] against the
     Prime Ideal Theorem main term (3/pi)(phi2 - phi1) Li(x).
 
-    Counts the unsorted angles of _ideal_angles (no sort).  The interval
-    is closed; a 1e-12 outward tolerance absorbs floating-point ties at
-    the endpoints.
+    The interval is closed; a 1e-12 outward tolerance absorbs
+    floating-point ties at the endpoints.  Counted in place over the
+    split-prime table: theta_p in [phi1 - eps, phi2 + eps] for the ideals
+    at +theta_p, and theta_p in [-(phi2 + eps), -(phi1 - eps)] for those
+    at -theta_p (negation is exact, so this is the same test on
+    -theta_p); then the inert ideals when 0 is in the interval and the
+    ramified one when -pi/6 is.
     """
-    _, thetas = _ideal_angles(q.x)
+    if q.x > 10**8:
+        raise ValueError("ideal enumeration capped at 1e8")
+    xi = math.floor(q.x)
+    _, t_arr = factor.split_prime_angles(xi)
     eps = 1e-12
-    observed = int(np.count_nonzero((thetas >= q.phi1 - eps) & (thetas <= q.phi2 + eps)))
+    lo, hi = q.phi1 - eps, q.phi2 + eps
+    observed = int(np.count_nonzero((t_arr >= lo) & (t_arr <= hi)))
+    observed += int(np.count_nonzero((t_arr >= -hi) & (t_arr <= -lo)))
+    if lo <= 0.0 <= hi:
+        observed += len(_inert_primes(xi))
+    if lo <= -PI_6 <= hi and q.x >= 3:
+        observed += 1
     expected = 3.0 / math.pi * (q.phi2 - q.phi1) * li(q.x)
     return observed, expected
 
@@ -142,8 +160,7 @@ def chi_prime_sum_decomposition(x: float, a: int) -> complex:
     xi = math.floor(x)
     p_arr, t_arr = factor.split_prime_angles(xi)
     split_part = float(np.sum(2.0 * np.cos(6.0 * a * t_arr)))
-    inert_q = primes_up_to(math.isqrt(xi))
-    inert_part = int(np.count_nonzero(inert_q % 3 == 2))
+    inert_part = len(_inert_primes(xi))
     ram = ((-1) ** a if x >= 3 else 0)
     return complex(split_part + inert_part + ram)
 

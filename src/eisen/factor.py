@@ -21,6 +21,7 @@ pi_p and conj(pi_p) and then applying the six units.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -73,25 +74,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _sieve(x: int) -> np.ndarray:
-    """Boolean primality table 0..x by a plain sieve of Eratosthenes (not cached)."""
-    import numpy as np
-    sieve = np.ones(x + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(x) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return sieve
-
-
-def primes_up_to(x: int) -> np.ndarray:
-    """Array of primes <= x."""
-    import numpy as np
-    if x < 2:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(_sieve(x))[0].astype(np.int64)
-
-
 def _small_primes(x: int) -> list[int]:
     """Primes <= x as a list, by a bytearray sieve (no numpy)."""
     sieve = bytearray([1]) * (x + 1)
@@ -101,7 +83,35 @@ def _small_primes(x: int) -> list[int]:
     return list(itertools.compress(range(2, x + 1), sieve[2:]))
 
 
-_SMALL_PRIMES = _small_primes(1 << 16)
+_SMALL_PRIMES = _small_primes(1 << 16)  # the base primes of _band_primes: all p <= sqrt(2^32)
+
+
+def _band_primes(lo: int, hi: int) -> np.ndarray:
+    """Primality of lo < n <= hi as a boolean table, entry n - lo - 1: a
+    segmented sieve of Eratosthenes (Bays-Hudson) that marks the multiples
+    of each prime p <= sqrt(hi) from _SMALL_PRIMES, starting at p^2 or at
+    the first multiple above lo, whichever is larger; hi <= 2^32."""
+    import numpy as np
+    prime = np.ones(hi - lo, dtype=bool)
+    if lo == 0:
+        prime[0] = False  # n = 1
+    for p in _SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, math.isqrt(hi))]:
+        prime[max(p * p, lo + p - lo % p) - lo - 1 :: p] = False
+    return prime
+
+
+def primes_up_to(x: int) -> np.ndarray:
+    """Array of primes <= x, x <= 2^32: a slice of _SMALL_PRIMES up to
+    2^16, above that the _band_primes tables of the norm bands
+    (lo, min(lo + _BAND_NORMS, x)] that iter_lattice_blocks walks."""
+    import numpy as np
+    if x > 1 << 32:
+        raise ValueError("primes_up_to needs x <= 2^32: its base primes stop at 2^16")
+    if x <= 1 << 16:
+        return np.array(_SMALL_PRIMES[: bisect.bisect_right(_SMALL_PRIMES, x)], dtype=np.int64)
+    return np.concatenate([
+        np.flatnonzero(_band_primes(lo, min(lo + _BAND_NORMS, x))) + (lo + 1) for lo in range(0, x, _BAND_NORMS)
+    ])
 
 
 # Floyd steps over all c; the workloads' semiprimes (factors in [1e9, 2e9])
@@ -421,35 +431,6 @@ def circle_points(n: int) -> CirclePointSet:
     return CirclePointSet(n, points, len(points))
 
 
-def circle_points_bruteforce(n: int) -> CirclePointSet:
-    """Independent oracle: solve a^2 + ab + b^2 = n for every b.
-
-    For fixed b the equation is quadratic in a with discriminant
-    4n - 3b^2, so each candidate is checked with integer square roots;
-    no floating point is involved.
-    """
-    if n < 1:
-        raise ValueError("circle_points_bruteforce needs n >= 1")
-    if n > 10**8:
-        raise ValueError("bruteforce capped at n <= 1e8")
-    pts: set[EisensteinInt] = set()
-    bmax = math.isqrt(4 * n // 3)
-    for b in range(-bmax, bmax + 1):
-        disc = 4 * n - 3 * b * b
-        if disc < 0:
-            continue
-        t = math.isqrt(disc)
-        if t * t != disc:
-            continue
-        for sign in (t, -t) if t else (0,):
-            if (sign - b) % 2 == 0:
-                z = EisensteinInt((sign - b) // 2, b)
-                if z.norm() == n:
-                    pts.add(z)
-    ordered = tuple(sorted(pts, key=lambda z: (z.arg(), z.a)))
-    return CirclePointSet(n, ordered, len(ordered))
-
-
 # ---------------------------------------------------------------------------
 # fundamental-sector enumeration (shared by the statistics modules)
 
@@ -558,9 +539,10 @@ def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
 
     Keeps the half-sector points with a > b >= 1 whose norm is a prime;
     each split prime has exactly one such representative, and its
-    angle is the canonical theta_p in (0, pi/6).  Primality is a sieve
-    lookup.  The table of the largest x <= _CACHE_MAX asked for is kept
-    and sliced for a smaller x.
+    angle is the canonical theta_p in (0, pi/6).  Primality comes from
+    the _band_primes table of each band of iter_lattice_blocks, so no
+    table spans 0..x.  The result of the largest x <= _CACHE_MAX asked
+    for is kept and sliced for a smaller x.
     """
     global _split_primes
     if x > 10**8:
@@ -570,11 +552,12 @@ def split_prime_angles(x: int) -> tuple[np.ndarray, np.ndarray]:
         k = kept[1].searchsorted(x, side="right")
         return kept[1][:k], kept[2][:k]
     import numpy as np
-    prime = _sieve(x)
     ps = [np.empty(0, dtype=np.int64)]
     ts = [np.empty(0)]
     for a, b, n in iter_lattice_blocks(x):
-        keep = np.flatnonzero((b >= 1) & (a > b) & prime[n])
+        lo = (int(n[0]) - 1) // _BAND_NORMS * _BAND_NORMS  # the block is the band (lo, min(lo + B, x)]
+        prime = _band_primes(lo, min(lo + _BAND_NORMS, x))
+        keep = np.flatnonzero((b >= 1) & (a > b) & prime[n - (lo + 1)])
         keep = keep[np.argsort(n[keep])]  # one point per split prime: no ties
         ps.append(n[keep])
         ts.append(sector_angles(a[keep], b[keep]))

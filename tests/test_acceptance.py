@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from bruteforce import circle_points_bruteforce
 from eisen import analytic, angles, discrepancy, expsum, factor
 from eisen.core import UNITS, EisensteinInt
 
@@ -43,7 +44,7 @@ def test_criterion_03_factorization_vs_bruteforce():
     t0 = time.monotonic()
     for n in range(1, 10**4 + 1):
         fast = factor.circle_points(n)
-        slow = factor.circle_points_bruteforce(n)
+        slow = circle_points_bruteforce(n)
         assert fast.points == slow.points, n
         assert fast.count == factor.r_q(n), n
     dt = time.monotonic() - t0

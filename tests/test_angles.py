@@ -95,22 +95,36 @@ def _listed_count(x, phi1, phi2):
     return sum(1 for _, t in prime_ideals_up_to(x) if phi1 - eps <= t <= phi2 + eps)
 
 
-def test_sector_count_matches_ideal_list():
-    # sector_count reads unsorted angles; the public sorted list is the
-    # reference, with ends exactly on -pi/6, 0 and +-theta_7, and ends
-    # 5e-13 past them, inside the tolerance
+def _test_intervals():
+    """Ends exactly on -pi/6, 0 and +-theta_7, ends 5e-13 past them (inside
+    the tolerance), and 40 seeded intervals."""
     th7 = split_prime_generator(7).theta_p
     ends = [(-PI_6, 0.0), (-PI_6, -th7), (-th7, 0.0), (0.0, th7), (-th7, th7), (th7, 0.5)]
     d = 5e-13
     ends += [(-PI_6 + d, -th7 - d), (-th7 + d, -d), (d, th7 - d), (th7 + d, 0.5)]
     rng = random.Random(2005)
-    seeded = [tuple(sorted(rng.uniform(-PI_6, PI_6) for _ in range(2))) for _ in range(40)]
+    return ends + [tuple(sorted(rng.uniform(-PI_6, PI_6) for _ in range(2))) for _ in range(40)]
+
+
+def test_sector_count_matches_ideal_list():
+    # sector_count counts the split-prime table in place; the public
+    # sorted list is the reference
     for x in (2.5, 3, 4, 20, 1e4):
-        for phi1, phi2 in ends + seeded:
+        for phi1, phi2 in _test_intervals():
             obs, _ = sector_count(SectorQuery(x, phi1, phi2))
             assert obs == _listed_count(x, phi1, phi2), (x, phi1, phi2)
     # no prime ideal has norm <= 2.5
     assert sector_count(SectorQuery(2.5, -PI_6, 0.5))[0] == 0
+
+
+def test_sector_count_matches_the_ideal_mask_at_1e6():
+    # the count over +-theta_p equals the mask over the concatenated
+    # ideal angles, with the same tolerance
+    _, thetas = angles._ideal_angles(10**6)
+    eps = 1e-12
+    for phi1, phi2 in _test_intervals():
+        want = int(np.count_nonzero((thetas >= phi1 - eps) & (thetas <= phi2 + eps)))
+        assert sector_count(SectorQuery(10**6, phi1, phi2))[0] == want, (phi1, phi2)
 
 
 def test_chi_prime_sum_tiny_x():

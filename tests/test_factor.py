@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruteforce import circle_points_bruteforce
 from eisen import cli, factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
 from eisen.expsum import circle_sums
@@ -14,7 +15,6 @@ from eisen.factor import (
     PI3,
     PrimeClass,
     circle_points,
-    circle_points_bruteforce,
     classify_prime,
     factor_eisenstein,
     factor_int,
@@ -54,8 +54,16 @@ def test_primes_up_to():
     assert all(is_prime(int(p)) for p in ps[:100])
     # the trial-division primes come from a bytearray sieve, not from numpy
     assert factor._small_primes(10**5) == ps.tolist()
-    assert factor._SMALL_PRIMES == primes_up_to(1 << 16).tolist()
     assert [factor._small_primes(x) for x in range(4)] == [[], [], [2], [2, 3]]
+    assert len(primes_up_to(10**6)) == 78498 and len(primes_up_to(10**7)) == 664579
+    # the _SMALL_PRIMES slice, the band tables, and the seams between bands
+    B = factor._BAND_NORMS
+    for x in [0, 1, 2, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 1] + [k * B + d for k in (1, 2, 3) for d in (-1, 1)]:
+        got = primes_up_to(x)
+        assert got.dtype == np.int64 and got.tolist() == factor._small_primes(x), x
+    # past 2^32 a band would need base primes above 2^16
+    with pytest.raises(ValueError):
+        primes_up_to((1 << 32) + 1)
 
 
 def test_rho_stops_at_its_limit(monkeypatch):
@@ -416,6 +424,18 @@ def test_split_prime_angles_bulk_matches_records():
     for p, t in zip(ps[:50], ts[:50]):
         # vectorized arctan2 may differ from the scalar libm by an ulp
         assert abs(t - split_prime_generator(int(p)).theta_p) < 1e-15
+
+
+@pytest.mark.parametrize("x, count, theta_sum, p_sum", [
+    (10**6, 39231, "0x1.419ff3b893d9fp+13", 18788600805),
+    (10**7, 332194, "0x1.53e152088e52cp+16", 1601524436272),
+    (10**8, 2880517, "0x1.70434da83858ep+19", 139605501398881),
+])
+def test_split_prime_angles_frozen_bits(x, count, theta_sum, p_sum):
+    # frozen bits: a change to the sieve or the angle formula must keep them
+    ps, ts = split_prime_angles(x)
+    assert len(ps) == count and int(ps.sum()) == p_sum
+    assert float.hex(float(ts.sum())) == theta_sum
 
 
 PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
