@@ -19,6 +19,7 @@ of the six directions k*pi/3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ from .core import _arg
 from .factor import CirclePointSet, circle_points, primes_up_to
 
 PI_6 = math.pi / 6.0
+_KS_CHUNK = 1 << 16  # angles per step of the KS sweep
 _K_MAX = 6 << 16  # bad_circle's largest k: 6 * 2^16 points, so m <= 16
 # The 16 smallest angles of split primes p <= 1e8, ascending.  The angle of
 # p = a^2 + ab + b^2, a > b >= 1, has tangent b sqrt3 / (2a + b) with
@@ -47,6 +49,15 @@ def _inert_primes(x: int) -> np.ndarray:
     return q[q % 3 == 2]
 
 
+def _norm_bound(x: float) -> int:
+    """floor(x) for a norm bound x; NaN and x > 1e8 are rejected."""
+    if math.isnan(x):
+        raise ValueError("x is NaN; a norm bound must be a number")
+    if x > 10**8:
+        raise ValueError("ideal enumeration capped at 1e8")
+    return math.floor(x)
+
+
 def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prime ideals of norm <= x in two sorted parts: the split primes
     p <= x with their theta_p, and the other ideals as (norms, angles),
@@ -54,9 +65,7 @@ def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     if x < 2:
         empty = np.empty(0, dtype=np.int64), np.empty(0)
         return *empty, *empty
-    if x > 10**8:
-        raise ValueError("ideal enumeration capped at 1e8")
-    xi = math.floor(x)
+    xi = _norm_bound(x)
     p_arr, t_arr = factor.split_prime_angles(xi)
     inert_q = _inert_primes(xi)
     ram = 1 if x >= 3 else 0
@@ -65,19 +74,34 @@ def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return p_arr, t_arr, other_n, other_t
 
 
-def _ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
-    """(norms, angles) of all prime ideals with norm <= x, unsorted:
-    +theta_p and -theta_p for each split p <= x, 0 for each inert q with
-    q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
-    p_arr, t_arr, other_n, other_t = _ideal_parts(x)
-    return np.concatenate((p_arr, p_arr, other_n)), np.concatenate((t_arr, -t_arr, other_t))
+def _angle_index(x: float) -> tuple[np.ndarray, int, float]:
+    """(theta_p of the split primes p <= x ascending, the number of inert
+    ideals of norm <= x, Li(x)): what sector_count and _equi_stat read.
+    For x <= factor._CACHE_MAX the index of the last x asked is kept, as
+    the split-prime table is; above it nothing is kept, so the call's own
+    table is sorted in place."""
+    return _kept_index(x) if _norm_bound(x) <= factor._CACHE_MAX else _build_index(x)
+
+
+def _build_index(x: float) -> tuple[np.ndarray, int, float]:
+    xi = math.floor(x)
+    _, thetas = factor.split_prime_angles(xi)
+    if xi <= factor._CACHE_MAX:
+        thetas = thetas.copy()  # a slice of the kept split-prime table
+    thetas.sort()
+    thetas.flags.writeable = False  # a kept index is shared by every caller at its x
+    return thetas, len(_inert_primes(xi)), li(x)
+
+
+_kept_index = functools.lru_cache(maxsize=1)(_build_index)
 
 
 def _ideal_arrays(x: float) -> tuple[np.ndarray, np.ndarray]:
-    """_ideal_angles(x) sorted by norm, the conjugate pair above a split
-    p ordered +theta first.  A merge, not a sort: the pairs interleave
-    the sorted split primes, and the ramified and inert norms, which no
-    split prime shares, go in at their searchsorted places."""
+    """(norms, angles) of the prime ideals of norm <= x sorted by norm,
+    the conjugate pair above a split p ordered +theta first.  A merge,
+    not a sort: the pairs interleave the sorted split primes, and the
+    ramified and inert norms, which no split prime shares, go in at
+    their searchsorted places."""
     p_arr, t_arr, other_n, other_t = _ideal_parts(x)
     norms = np.repeat(p_arr, 2)
     thetas = np.stack((t_arr, -t_arr), axis=1).ravel()
@@ -109,26 +133,24 @@ def sector_count(q: SectorQuery) -> tuple[int, float]:
     Prime Ideal Theorem main term (3/pi)(phi2 - phi1) Li(x).
 
     The interval is closed; a 1e-12 outward tolerance absorbs
-    floating-point ties at the endpoints.  Counted in place over the
-    split-prime table: theta_p in [phi1 - eps, phi2 + eps] for the ideals
+    floating-point ties at the endpoints.  Two binary searches in the
+    angle index of x: theta_p in [phi1 - eps, phi2 + eps] for the ideals
     at +theta_p, and theta_p in [-(phi2 + eps), -(phi1 - eps)] for those
-    at -theta_p (negation is exact, so this is the same test on
+    at -theta_p (negation is exact, so this is the same >=/<= test on
     -theta_p); then the inert ideals when 0 is in the interval and the
     ramified one when -pi/6 is.
     """
-    if q.x > 10**8:
-        raise ValueError("ideal enumeration capped at 1e8")
-    xi = math.floor(q.x)
-    _, t_arr = factor.split_prime_angles(xi)
+    thetas, inert, li_x = _angle_index(q.x)
     eps = 1e-12
     lo, hi = q.phi1 - eps, q.phi2 + eps
-    observed = int(np.count_nonzero((t_arr >= lo) & (t_arr <= hi)))
-    observed += int(np.count_nonzero((t_arr >= -hi) & (t_arr <= -lo)))
+    below = thetas.searchsorted((lo, -hi), "left")  # theta_p < lo, theta_p < -hi
+    upto = thetas.searchsorted((hi, -lo), "right")  # theta_p <= hi, theta_p <= -lo
+    observed = int((upto - below).sum())
     if lo <= 0.0 <= hi:
-        observed += len(_inert_primes(xi))
+        observed += inert
     if lo <= -PI_6 <= hi and q.x >= 3:
         observed += 1
-    expected = 3.0 / math.pi * (q.phi2 - q.phi1) * li(q.x)
+    expected = 3.0 / math.pi * (q.phi2 - q.phi1) * li_x
     return observed, expected
 
 
@@ -157,7 +179,7 @@ def chi_prime_sum_decomposition(x: float, a: int) -> complex:
     """
     if a == 0:
         raise ValueError("a = 0 just counts the ideals")
-    xi = math.floor(x)
+    xi = _norm_bound(x)
     p_arr, t_arr = factor.split_prime_angles(xi)
     split_part = float(np.sum(2.0 * np.cos(6.0 * a * t_arr)))
     inert_part = len(_inert_primes(xi))
@@ -177,18 +199,26 @@ def theta_equidistribution_stat(x: float) -> float:
 
 
 def _equi_stat(x: float) -> tuple[float, int]:
-    """theta_equidistribution_stat(x) and the number of ideals it ranks,
-    from one build of the ideal angles."""
+    """theta_equidistribution_stat(x) and the number of ideals it ranks.
+
+    The sorted ideal angles are four runs read off the angle index: -pi/6
+    (x >= 3 here), -theta_p in reverse, the inert zeros, then theta_p.
+    The supremum is taken over them _KS_CHUNK angles at a time, with each
+    angle's own float steps, so no 2N array is built and the result has
+    the bits of the sweep over the whole sorted array.
+    """
     if x < 100:
         raise ValueError("x >= 100 required")
-    _, thetas = _ideal_angles(x)
-    n = len(thetas)
-    if n < 10:
-        raise ValueError("fewer than 10 ideals below x")
-    cdf = (np.sort(thetas) + PI_6) / (2 * PI_6)
-    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
-    d_minus = np.max(cdf - np.arange(0.0, n) / n)
-    return float(max(d_plus, d_minus)), n
+    thetas, inert, _ = _angle_index(x)
+    n = 1 + 2 * len(thetas) + inert
+    d, i = 0.0, 0
+    for sign, run in ((1, np.array([-PI_6])), (-1, thetas[::-1]), (1, np.zeros(inert)), (1, thetas)):
+        for s in range(0, len(run), _KS_CHUNK):
+            cdf = (sign * run[s:s + _KS_CHUNK] + PI_6) / (2 * PI_6)
+            rank = np.arange(i + 1.0, i + len(cdf) + 1)
+            d = max(d, np.max(rank / n - cdf), np.max(cdf - (rank - 1.0) / n))
+            i += len(cdf)
+    return float(d), n
 
 
 def split_prime_reciprocal_sum(x: int) -> float:

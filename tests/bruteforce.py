@@ -1,7 +1,12 @@
-"""The integer-square-root oracle for circle point sets, shared by the tests."""
+"""Reference implementations shared by the tests: the integer-square-root
+oracle for circle point sets, and the unsorted prime-ideal angles with the
+KS statistic over their full sort."""
 
 import math
 
+import numpy as np
+
+from eisen import angles
 from eisen.core import EisensteinInt
 from eisen.factor import CirclePointSet
 
@@ -28,3 +33,22 @@ def circle_points_bruteforce(n: int) -> CirclePointSet:
                     pts.add(z)
     ordered = tuple(sorted(pts, key=lambda z: (z.arg(), z.a)))
     return CirclePointSet(n, ordered, len(ordered))
+
+
+def ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
+    """(norms, angles) of all prime ideals with norm <= x, unsorted:
+    +theta_p and -theta_p for each split p <= x, 0 for each inert q with
+    q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
+    p_arr, t_arr, other_n, other_t = angles._ideal_parts(x)
+    return np.concatenate((p_arr, p_arr, other_n)), np.concatenate((t_arr, -t_arr, other_t))
+
+
+def equi_stat_by_sort(x: float) -> tuple[float, int]:
+    """The KS distance of the ideal angles from uniform on [-pi/6, pi/6)
+    over one sort of all of them, and the number of ideals."""
+    _, thetas = ideal_angles(x)
+    n = len(thetas)
+    cdf = (np.sort(thetas) + angles.PI_6) / (2 * angles.PI_6)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus)), n

@@ -5,8 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from bruteforce import equi_stat_by_sort, ideal_angles
 
-from eisen import angles
+from eisen import angles, factor
 from eisen.angles import (
     BadCircle,
     SectorQuery,
@@ -45,7 +46,7 @@ def test_ideal_list_sorted_and_in_range():
 @pytest.mark.parametrize("x", [2, 3, 4, 49, 50, 12345, 10**6])
 def test_ideal_arrays_merge_equals_the_sort(x):
     # sorted by norm, +theta before -theta above a split prime
-    n_all, t_all = angles._ideal_angles(x)
+    n_all, t_all = ideal_angles(x)
     order = np.lexsort((-t_all, n_all))
     norms, thetas = angles._ideal_arrays(x)
     assert np.array_equal(norms, n_all[order]) and np.array_equal(thetas, t_all[order])
@@ -54,6 +55,17 @@ def test_ideal_arrays_merge_equals_the_sort(x):
 def test_ideal_enumeration_cap():
     with pytest.raises(ValueError):
         prime_ideals_up_to(2 * 10**8)
+
+
+def test_nan_x_is_rejected_before_any_table(monkeypatch):
+    _no_tables(monkeypatch)
+    before = angles._kept_index.cache_info()
+    calls = (theta_equidistribution_stat, prime_ideals_up_to, angles._angle_index,
+             lambda x: chi_prime_sum(x, 1), lambda x: chi_prime_sum_decomposition(x, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="x is NaN"):
+            call(math.nan)
+    assert angles._kept_index.cache_info() == before
 
 
 def test_sector_query_validation():
@@ -95,13 +107,27 @@ def _listed_count(x, phi1, phi2):
     return sum(1 for _, t in prime_ideals_up_to(x) if phi1 - eps <= t <= phi2 + eps)
 
 
+def _end_on(t, eps):
+    """A float phi with phi + eps == t exactly: an interval end that the
+    1e-12 tolerance widens onto t itself."""
+    phi = t - eps
+    for _ in range(8):
+        if phi + eps == t:
+            return phi
+        phi = math.nextafter(phi, math.inf if phi + eps < t else -math.inf)
+    raise AssertionError(t)
+
+
 def _test_intervals():
     """Ends exactly on -pi/6, 0 and +-theta_7, ends 5e-13 past them (inside
-    the tolerance), and 40 seeded intervals."""
+    the tolerance), ends whose widened value is exactly +-theta_7, and 40
+    seeded intervals."""
     th7 = split_prime_generator(7).theta_p
     ends = [(-PI_6, 0.0), (-PI_6, -th7), (-th7, 0.0), (0.0, th7), (-th7, th7), (th7, 0.5)]
     d = 5e-13
     ends += [(-PI_6 + d, -th7 - d), (-th7 + d, -d), (d, th7 - d), (th7 + d, 0.5)]
+    eps = 1e-12
+    ends += [(-PI_6, _end_on(-th7, eps)), (_end_on(-th7, -eps), 0.0), (0.0, _end_on(th7, eps)), (_end_on(th7, -eps), 0.5)]
     rng = random.Random(2005)
     return ends + [tuple(sorted(rng.uniform(-PI_6, PI_6) for _ in range(2))) for _ in range(40)]
 
@@ -117,14 +143,32 @@ def test_sector_count_matches_ideal_list():
     assert sector_count(SectorQuery(2.5, -PI_6, 0.5))[0] == 0
 
 
-def test_sector_count_matches_the_ideal_mask_at_1e6():
-    # the count over +-theta_p equals the mask over the concatenated
-    # ideal angles, with the same tolerance
-    _, thetas = angles._ideal_angles(10**6)
+def _assert_counts_match_the_mask(x):
+    _, thetas = ideal_angles(x)
     eps = 1e-12
     for phi1, phi2 in _test_intervals():
         want = int(np.count_nonzero((thetas >= phi1 - eps) & (thetas <= phi2 + eps)))
-        assert sector_count(SectorQuery(10**6, phi1, phi2))[0] == want, (phi1, phi2)
+        assert sector_count(SectorQuery(x, phi1, phi2))[0] == want, (x, phi1, phi2)
+
+
+def test_sector_count_matches_the_ideal_mask_at_1e6():
+    # the binary searches over the sorted theta_p equal the mask over the
+    # concatenated ideal angles, with the same tolerance
+    _assert_counts_match_the_mask(10**6)
+
+
+def test_angle_index_is_rebuilt_when_x_changes(monkeypatch):
+    monkeypatch.setattr(factor, "_split_primes", None)
+    for x in (10**6, 10**5, 10**6, 4 * 10**6, 10**6):
+        _assert_counts_match_the_mask(x)
+        assert angles._kept_index.cache_info().currsize == 1
+        assert len(angles._kept_index(x)[0]) == len(factor.split_prime_angles(x)[0])
+    assert factor._split_primes[0] == 4 * 10**6  # the last 1e6 was sliced from the kept 4e6 table
+
+
+@pytest.mark.parametrize("x", [100, 101, 12345, 10**5, 10**6])
+def test_equi_stat_has_the_bits_of_the_full_sort(x):
+    assert angles._equi_stat(x) == equi_stat_by_sort(x)
 
 
 def test_chi_prime_sum_tiny_x():

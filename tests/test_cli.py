@@ -11,6 +11,7 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from bruteforce import equi_stat_by_sort
 from hypothesis import given, settings, strategies as st
 
 import eisen
@@ -127,20 +128,24 @@ def test_xi_check_evaluates_xi_twice(capsys, monkeypatch):
 
 
 def test_equi_stat_builds_the_ideal_angles_once(capsys, monkeypatch):
+    # one split-prime table, and the statistic and count of the sort reference
     calls = []
-    ideal_angles = eisen.angles._ideal_angles
+    split_prime_angles = eisen.factor.split_prime_angles
 
     def counted(x):
         calls.append(x)
-        return ideal_angles(x)
+        return split_prime_angles(x)
 
-    monkeypatch.setattr(eisen.angles, "_ideal_angles", counted)
+    monkeypatch.setattr(eisen.factor, "split_prime_angles", counted)
+    eisen.angles._kept_index.cache_clear()
     assert run(["equi-stat", "100000"]) == 0
     assert len(calls) == 1
     assert capsys.readouterr().out == (
         '{"command": "equi-stat", "params": {"x": 100000}, '
         '"result": {"statistic": 0.00314112645166553, "ideals": 9603}}\n'
     )
+    stat, count = equi_stat_by_sort(100000)
+    assert (float(f"{stat:.15g}"), count) == (0.00314112645166553, 9603)
 
 
 def test_avg_expsum_checkpoint_rows(capsys):
