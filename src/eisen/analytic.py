@@ -276,12 +276,21 @@ def l_dirichlet(s: complex, a: int, tol: float = 1e-9) -> complex:
     return l_dirichlet_with_error(s, a, tol)[0]
 
 
-@functools.lru_cache(maxsize=1)
+# the positive nodes of the 20-point Gauss-Legendre rule on [-1, 1] and their weights,
+# the doubles of numpy.polynomial.legendre.leggauss(20), which mirrors the other ten exactly
+_GL20_NODES = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+               0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+               0.9639719272779138, 0.993128599185095)
+_GL20_WEIGHTS = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+                 0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+                 0.040601429800386446, 0.017614007139150893)
+
+
 def _gauss_legendre_20():
-    """20-point Gauss-Legendre nodes and weights on [-1, 1]; kept, since
-    computing them costs about as much as a typical xi_integral."""
+    """20-point Gauss-Legendre nodes, ascending, and weights on [-1, 1]."""
     import numpy as np
-    return np.polynomial.legendre.leggauss(20)
+    nodes = np.array(_GL20_NODES)
+    return np.concatenate((-nodes[::-1], nodes)), np.array(_GL20_WEIGHTS[::-1] + _GL20_WEIGHTS)
 
 
 def _xi_integral(s: complex, a: int, tol: float) -> tuple[complex, float]:

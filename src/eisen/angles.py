@@ -21,26 +21,20 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import factor
 from .analytic import li
-from .core import _arg
-from .factor import CirclePointSet, circle_points, primes_up_to
+from .core import SQRT3, _arg
+from .factor import CirclePointSet, circle_points, is_prime, primes_up_to
+
+if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
+    import numpy as np
 
 PI_6 = math.pi / 6.0
 _KS_CHUNK = 1 << 16  # angles per step of the KS sweep
 _K_MAX = 6 << 16  # bad_circle's largest k: 6 * 2^16 points, so m <= 16
-# The 16 smallest angles of split primes p <= 1e8, ascending.  The angle of
-# p = a^2 + ab + b^2, a > b >= 1, has tangent b sqrt3 / (2a + b) with
-# 2a + b < 2 * 10^4, so every row b >= 2 stays above sqrt3 / 10^4 and these
-# are all on row b = 1: p = a^2 + a + 1 prime, for the largest such a <= 9999.
-_SMALLEST_SPLIT_ANGLES = tuple(
-    _arg(a, 1)
-    for a in (9999, 9996, 9989, 9975, 9971, 9966, 9962, 9960, 9957, 9950, 9947, 9924, 9918, 9912, 9908, 9899)
-)
+_PRIME_MAX = 10**8  # bad_circle seeks its split primes p <= this
 
 
 def _inert_primes(x: int) -> np.ndarray:
@@ -50,18 +44,20 @@ def _inert_primes(x: int) -> np.ndarray:
 
 
 def _norm_bound(x: float) -> int:
-    """floor(x) for a norm bound x; NaN and x > 1e8 are rejected."""
+    """floor(x) for a norm bound x, and 0 below 0 (no ideal has so small a
+    norm); NaN and x > 1e8 are rejected."""
     if math.isnan(x):
         raise ValueError("x is NaN; a norm bound must be a number")
     if x > 10**8:
         raise ValueError("ideal enumeration capped at 1e8")
-    return math.floor(x)
+    return math.floor(max(x, 0))
 
 
 def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The prime ideals of norm <= x in two sorted parts: the split primes
     p <= x with their theta_p, and the other ideals as (norms, angles),
     the ramified 3 at -pi/6 (when x >= 3) then the inert q^2 <= x at 0."""
+    import numpy as np
     if x < 2:
         empty = np.empty(0, dtype=np.int64), np.empty(0)
         return *empty, *empty
@@ -102,6 +98,7 @@ def _ideal_arrays(x: float) -> tuple[np.ndarray, np.ndarray]:
     not a sort: the pairs interleave the sorted split primes, and the
     ramified and inert norms, which no split prime shares, go in at
     their searchsorted places."""
+    import numpy as np
     p_arr, t_arr, other_n, other_t = _ideal_parts(x)
     norms = np.repeat(p_arr, 2)
     thetas = np.stack((t_arr, -t_arr), axis=1).ravel()
@@ -115,17 +112,28 @@ def prime_ideals_up_to(x: float) -> list[tuple[int, float]]:
     return [(int(n), float(t)) for n, t in zip(norms, thetas)]
 
 
-@dataclass(frozen=True)
-class SectorQuery:
+class _SectorFields(NamedTuple):
     x: float
     phi1: float
     phi2: float
 
-    def __post_init__(self) -> None:
-        if not (self.x >= 2):
+
+class SectorQuery(_SectorFields):
+    """A norm bound x >= 2 and an angle interval -pi/6 <= phi1 < phi2 < pi/6,
+    checked when the query is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, x: float, phi1: float, phi2: float):
+        if not (x >= 2):
             raise ValueError("x >= 2 required")
-        if not (-PI_6 <= self.phi1 < self.phi2 < PI_6):
+        if not (-PI_6 <= phi1 < phi2 < PI_6):
             raise ValueError("need -pi/6 <= phi1 < phi2 < pi/6")
+        return tuple.__new__(cls, (x, phi1, phi2))
+
+    @classmethod
+    def _make(cls, iterable) -> "SectorQuery":  # _replace makes through here: checked too
+        return cls(*iterable)
 
 
 def sector_count(q: SectorQuery) -> tuple[int, float]:
@@ -154,8 +162,7 @@ def sector_count(q: SectorQuery) -> tuple[int, float]:
     return observed, expected
 
 
-@dataclass(frozen=True)
-class CharacterSumValue:
+class CharacterSumValue(NamedTuple):
     x: float
     a: int
     value: complex
@@ -165,6 +172,7 @@ def chi_prime_sum(x: float, a: int) -> CharacterSumValue:
     """sum over prime ideals of norm <= x of chi^{6a}(p) = e^{i 6a theta}."""
     if a == 0:
         raise ValueError("a = 0 just counts the ideals")
+    import numpy as np
     _, thetas = _ideal_arrays(x)
     value = complex(np.sum(np.exp(1j * 6 * a * thetas)))
     return CharacterSumValue(x, a, value)
@@ -176,9 +184,13 @@ def chi_prime_sum_decomposition(x: float, a: int) -> complex:
         sum_{p<=x, p=1(3)} 2 cos(6a theta_p)
       + #{q = 2 (3) : q^2 <= x}
       + (-1)^a [3 <= x]
+
+    Every part is empty below x = 2, so the sum is 0 there, as
+    chi_prime_sum gives it.
     """
     if a == 0:
         raise ValueError("a = 0 just counts the ideals")
+    import numpy as np
     xi = _norm_bound(x)
     p_arr, t_arr = factor.split_prime_angles(xi)
     split_part = float(np.sum(2.0 * np.cos(6.0 * a * t_arr)))
@@ -209,6 +221,7 @@ def _equi_stat(x: float) -> tuple[float, int]:
     """
     if x < 100:
         raise ValueError("x >= 100 required")
+    import numpy as np
     thetas, inert, _ = _angle_index(x)
     n = 1 + 2 * len(thetas) + inert
     d, i = 0.0, 0
@@ -221,20 +234,61 @@ def _equi_stat(x: float) -> tuple[float, int]:
     return float(d), n
 
 
-def split_prime_reciprocal_sum(x: int) -> float:
+def split_prime_reciprocal_sum(x: float) -> float:
     """sum of 1/p over split primes p <= x (Mertens in the progression
     1 mod 3: this is (1/2) log log x + O(1))."""
-    p_arr, _ = factor.split_prime_angles(x)
+    import numpy as np
+    p_arr, _ = factor.split_prime_angles(_norm_bound(x))
     return float(np.sum(1.0 / p_arr))
 
 
-@dataclass(frozen=True)
-class BadCircle:
+class BadCircle(NamedTuple):
     n: int
     primes: tuple[int, ...]
     m: int
     epsilon: float
     points: CirclePointSet
+
+
+def _row_end(b: int, v: int) -> int:
+    """The largest a with a^2 + ab + b^2 <= v on row b, as factor._row_ends
+    gives it: below the row's first a > b when no such a exists."""
+    return (math.isqrt(max(4 * v - 3 * b * b, 0)) - b) // 2
+
+
+def _thin_split_primes(delta: float, m: int) -> list[int]:
+    """The m smallest split primes p <= 1e8 with theta_p <= delta, ascending;
+    all of them when there are fewer.
+
+    theta_p is the angle of the one point a + b*w of norm p with
+    a > b >= 1, and on row b it falls as a grows (its tangent is
+    b sqrt3 / (2a + b)), so the thin sector theta <= delta holds the a with
+    2a + b >= b sqrt3 / tan(delta).  The walk takes the norm bands
+    (lo, 2 lo] from (0, 64] and, in each, every row b from one a before
+    that start to the band's end: a point is kept when its angle by _arg
+    is <= delta and its norm is prime.  A band's primes are sorted, and the
+    walk stops after the band that brings the m-th.
+    """
+    tan = math.tan(delta)
+    cot = SQRT3 / tan if tan > 0.0 else math.inf  # tan(delta) can round to 0
+    found: list[int] = []
+    lo = 0
+    while len(found) < m and lo < _PRIME_MAX:
+        hi = min(max(2 * lo, 64), _PRIME_MAX)
+        band = []
+        b = 1
+        while True:
+            start = max(b + 1.0, b * (cot - 1.0) / 2.0 - 1.0)  # a float: cot is inf for a tiny delta
+            if start * start + start * b + b * b > hi:  # the rows past b start higher still
+                break
+            for a in range(max(int(start), _row_end(b, lo) + 1), _row_end(b, hi) + 1):
+                n = a * a + a * b + b * b
+                if _arg(a, b) <= delta and is_prime(n):
+                    band.append(n)
+            b += 1
+        found += sorted(band)
+        lo = hi
+    return found[:m]
 
 
 def bad_circle(epsilon: float, k: int) -> BadCircle:
@@ -245,7 +299,8 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
     split primes whose angles lie in (0, epsilon/m]; each of the
     6 * 2^m points then has angle j*pi/3 + (sum of m signed angles),
     off by at most m * (epsilon/m) = epsilon.  k is capped at 6 * 2^16,
-    and the primes are sought below 1e8.
+    and the primes are sought below 1e8 by _thin_split_primes, which walks
+    only the thin sector of angles <= epsilon/m.
     """
     if not (0 < epsilon < PI_6):
         raise ValueError("epsilon must lie in (0, pi/6)")
@@ -254,25 +309,12 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
     m = 0
     while 6 * (1 << m) < k:
         m += 1
-    if m == 0:
-        primes: tuple[int, ...] = ()
-        n = 1
-    else:
-        delta = epsilon / m
-        # a few ulps of margin: at the edge the table walk decides
-        if delta < _SMALLEST_SPLIT_ANGLES[m - 1] * (1.0 - 2.0**-50):
-            raise ValueError(f"no split prime below 1e8 has angle <= epsilon/m = {delta:.3g}; use a larger epsilon")
-        bound = 10**5
-        while True:
-            p_arr, t_arr = factor.split_prime_angles(bound)
-            qual = p_arr[t_arr <= delta]
-            if len(qual) >= m:
-                primes = tuple(int(p) for p in qual[:m])
-                break
-            if bound >= 10**8:
-                raise ValueError(f"fewer than {m} split primes with angle <= {delta:.3g} below 1e8; use a larger epsilon")
-            bound *= 10
-        n = math.prod(primes)
+    delta = epsilon / max(m, 1)
+    primes = tuple(_thin_split_primes(delta, m))
+    if len(primes) < m:
+        past = f" past the {len(primes)} found, and k = {k} needs {m}" if primes else ""
+        raise ValueError(f"no split prime below 1e8 has angle <= epsilon/m = {delta:.3g}{past}; use a larger epsilon")
+    n = math.prod(primes)
     pts = circle_points(n)
     if pts.count != 6 << m:
         raise RuntimeError(f"{pts.count} points on |mu|^2 = {n}, expected {6 << m}")

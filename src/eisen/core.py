@@ -18,18 +18,52 @@ Angles are plain floats in radians, reduced to [-pi, pi).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering  # <=, > and >= from < and ==
 class EisensteinInt:
-    """Lattice element a + b*w with exact integer coordinates."""
+    """Lattice element a + b*w with exact integer coordinates.
 
-    a: int
-    b: int
+    Immutable, and equal, hashed and ordered as the pair (a, b), but only
+    among lattice elements: it is never equal to a tuple, and a tuple or an
+    int is no operand of its arithmetic or its ordering.
+    """
+
+    __slots__ = ("a", "b")
+    __match_args__ = ("a", "b")
+
+    def __init__(self, a: int, b: int) -> None:
+        _SET_A(self, a)  # the slots' own setters: __setattr__ refuses
+        _SET_B(self, b)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable EisensteinInt")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable EisensteinInt")
+
+    def __reduce__(self):
+        return EisensteinInt, (self.a, self.b)
+
+    def __repr__(self) -> str:
+        return f"EisensteinInt(a={self.a!r}, b={self.b!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not EisensteinInt:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __lt__(self, other):
+        if other.__class__ is not EisensteinInt:
+            return NotImplemented
+        return (self.a, self.b) < (other.a, other.b)
 
     def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
         return EisensteinInt(self.a + other.a, self.b + other.b)
@@ -82,6 +116,10 @@ class EisensteinInt:
 
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}w"
+
+
+_SET_A = EisensteinInt.a.__set__
+_SET_B = EisensteinInt.b.__set__
 
 
 def _arg(a: int, b: int) -> float:

@@ -24,8 +24,9 @@ have a limit.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +40,7 @@ PI_6 = math.pi / 6.0
 GAMMA_MAX = math.log(math.pi) / math.log(2.0) - 1.0
 
 
-@dataclass(frozen=True)
-class DiscrepancyResult:
+class DiscrepancyResult(NamedTuple):
     n: int
     count: int
     delta: float
@@ -155,8 +155,7 @@ def b_q(x: int) -> int:
     return int(np.count_nonzero(representable_sieve(x)))
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     x: int
     gamma: float
     b_q: int  # populated circles up to x
@@ -167,13 +166,9 @@ class SurveyReport:
 def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
     """Fraction of populated circles up to x with Delta(n) > r_Q(n)^{-gamma}.
 
-    A circle's point set is six rotated copies of its m = N/6 points in
-    the fundamental sector [-pi/6, pi/6), so G has period pi/3 and Delta
-    is sup - inf of G over one period.  Measured from the -pi/6 ray the
-    jumps of G there are at the sector angles, and the boundary value
-    G(0) = 0 never wins (the first left limit is <= 0, the last right
-    limit is 1/6 - turns > 0).  One vectorized sweep over the norm
-    groups of each band of factor.sector_bands gives its circles at once.
+    One count over the circle table of _survey_circles(x), which is kept
+    for the last x asked, so a scan over gamma at one x sweeps the
+    circles once.
 
     Requires gamma strictly below GAMMA_MAX = log(pi)/log(2) - 1, the
     threshold above which the comparison becomes vacuous for the typical
@@ -186,7 +181,26 @@ def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
         raise ValueError(f"gamma must lie in (0, {GAMMA_MAX:.4f}) = (0, log(pi)/log(2) - 1)")
     if threads < 1:
         raise ValueError("threads >= 1")
-    populated = exceeding = 0
+    n, m, delta = _survey_circles(x)
+    exceeding = int(np.count_nonzero(delta > (6.0 * m) ** (-gamma)))
+    return SurveyReport(x=x, gamma=gamma, b_q=n.size, m_gamma=exceeding, fraction=exceeding / n.size)
+
+
+@functools.lru_cache(maxsize=1)
+def _survey_circles(x: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, m = r_Q(n)/6, Delta(n)) for every populated circle n <= x, by n.
+
+    A circle's point set is six rotated copies of its m = N/6 points in
+    the fundamental sector [-pi/6, pi/6), so G has period pi/3 and Delta
+    is sup - inf of G over one period.  Measured from the -pi/6 ray the
+    jumps of G there are at the sector angles, and the boundary value
+    G(0) = 0 never wins (the first left limit is <= 0, the last right
+    limit is 1/6 - turns > 0).  One vectorized sweep over the norm
+    groups of each band of factor.sector_bands gives its circles at once.
+    The arrays are read-only: the table of the last x is kept (about
+    24 bytes a circle, 4.3 MB at x = 1e6) and shared by every caller.
+    """
+    parts = []
     for norms, angs in factor.sector_bands(x):
         starts = np.flatnonzero(np.diff(norms, prepend=0))
         m = np.diff(starts, append=norms.size)
@@ -194,12 +208,9 @@ def discrepancy_survey(x: int, gamma: float, threads: int = 1) -> SurveyReport:
         total = 6 * np.repeat(m, m)
         g_right, g_left = _g_limits((angs + math.pi / 6.0) / TWO_PI, rank, total)
         delta = np.maximum.reduceat(g_right, starts) - np.minimum.reduceat(g_left, starts)
-        populated += starts.size
-        exceeding += int(np.count_nonzero(delta > (6.0 * m) ** (-gamma)))
-    return SurveyReport(
-        x=x,
-        gamma=gamma,
-        b_q=populated,
-        m_gamma=exceeding,
-        fraction=exceeding / populated,
-    )
+        parts.append((norms[starts], m, delta))
+        del norms, angs, rank, total, g_right, g_left  # freed before the next band is built
+    table = tuple(np.concatenate(col) for col in zip(*parts))
+    for col in table:
+        col.flags.writeable = False
+    return table

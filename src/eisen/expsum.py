@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import factor
 from .factor import factor_int, split_prime_generator
@@ -29,15 +28,13 @@ if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ExpSumValue:
+class ExpSumValue(NamedTuple):
     n: int
     A: int
     value: complex
 
 
-@dataclass(frozen=True)
-class AverageDecayReport:
+class AverageDecayReport(NamedTuple):
     A: int
     checkpoints: tuple[tuple[int, float], ...]
     fitted_exponent: float

@@ -25,9 +25,8 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import (
     EisensteinInt,
@@ -181,8 +180,7 @@ def classify_prime(p: int) -> PrimeClass:
     return PrimeClass.SPLIT if p % 3 == 1 else PrimeClass.INERT
 
 
-@dataclass(frozen=True)
-class PrimeSplitRecord:
+class PrimeSplitRecord(NamedTuple):
     """A rational prime with its Eisenstein data.
 
     pi is a generator of a prime above p (None for inert p, where p is
@@ -293,8 +291,7 @@ def prime_record(p: int) -> PrimeSplitRecord:
 # factorization of integers over Z[w]
 
 
-@dataclass(frozen=True)
-class EisFactorization:
+class EisFactorization(NamedTuple):
     """n = w^unit_power * pi_3^alpha3 * prod pi^e pibar^e' * prod q^e."""
 
     n: int
@@ -358,8 +355,7 @@ def r_q(n: int) -> int:
 # circle point sets
 
 
-@dataclass(frozen=True)
-class CirclePointSet:
+class CirclePointSet(NamedTuple):
     n: int
     points: tuple[EisensteinInt, ...]
     count: int

@@ -442,3 +442,12 @@ def test_xi_validation():
         xi_integral(60.0, 1)
     with pytest.raises(ValueError):
         xi_integral(complex(math.inf, 0), 1)
+
+
+def test_gauss_legendre_constants_are_the_bits_of_leggauss():
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = analytic._gauss_legendre_20()
+    ref_nodes, ref_weights = leggauss(20)
+    assert nodes.dtype == weights.dtype == np.float64
+    assert nodes.tobytes() == ref_nodes.tobytes()
+    assert weights.tobytes() == ref_weights.tobytes()

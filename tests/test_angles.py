@@ -194,6 +194,22 @@ def test_chi_decomposition_matches():
             assert abs(whole - parts) < 1e-8 * max(1.0, abs(whole))
 
 
+def test_chi_sums_agree_where_no_ideal_is_counted():
+    # both sums are 0 below the first ideal norm 2, whatever the x there
+    for x in (-5, -math.inf, 0, 1, 1.99):
+        for a in (1, -2):
+            assert chi_prime_sum(x, a).value == chi_prime_sum_decomposition(x, a) == 0j, (x, a)
+    with pytest.raises(ValueError, match="NaN"):
+        chi_prime_sum_decomposition(math.nan, 1)
+
+
+def test_split_prime_reciprocal_sum_rejects_nan_with_a_reason():
+    with pytest.raises(ValueError, match="NaN"):
+        split_prime_reciprocal_sum(math.nan)
+    assert split_prime_reciprocal_sum(-math.inf) == split_prime_reciprocal_sum(6) == 0.0
+    assert split_prime_reciprocal_sum(7.5) == split_prime_reciprocal_sum(7) == 1.0 / 7
+
+
 def test_chi_prime_sum_cancellation():
     # square-root scale cancellation: the sum over ~ 2 Li(x) ideals stays tiny
     v = chi_prime_sum(10**6, 1).value
@@ -284,25 +300,40 @@ def test_bad_circle_rejects_an_angle_no_prime_reaches(monkeypatch):
 
 def test_smallest_split_angles_lie_on_the_first_rows():
     # every split prime <= 1e8 on the rows b <= 3, with its angle; a row
-    # b >= 2 point has tangent >= 2 sqrt3 / 2e4, above all 16 values
+    # b >= 2 point has tangent >= 2 sqrt3 / 2e4, above the 16 smallest, so
+    # the thin-sector walk finds exactly these 16 at the 16th angle
     found = []
     for b in (1, 2, 3):
         a = b + 1
         while a * a + a * b + b * b <= 10**8:
             if is_prime(a * a + a * b + b * b):
-                found.append(EisensteinInt(a, b).arg())
+                found.append((EisensteinInt(a, b).arg(), a * a + a * b + b * b))
             a += 1
-    assert tuple(sorted(found)[:16]) == angles._SMALLEST_SPLIT_ANGLES
-    assert angles._SMALLEST_SPLIT_ANGLES[0] == pytest.approx(8.6607e-5, rel=1e-5)
-    assert angles._SMALLEST_SPLIT_ANGLES[15] == pytest.approx(8.7482e-5, rel=1e-5)
-    assert max(found) < math.pi / 6
-    assert math.atan(2 * math.sqrt(3.0) / 20000) > angles._SMALLEST_SPLIT_ANGLES[15]
+    found.sort()
+    smallest = found[:16]
+    assert smallest[0][0] == pytest.approx(8.6607e-5, rel=1e-5)
+    assert smallest[15][0] == pytest.approx(8.7482e-5, rel=1e-5)
+    assert max(found)[0] < math.pi / 6
+    assert math.atan(2 * math.sqrt(3.0) / 20000) > smallest[15][0]
+    assert angles._thin_split_primes(smallest[15][0], 16) == sorted(p for _, p in smallest)
+    assert angles._thin_split_primes(smallest[15][0], 17) == sorted(p for _, p in smallest)
+    assert angles._thin_split_primes(smallest[14][0], 16) == sorted(p for _, p in smallest[:15])
 
 
-def test_bad_circle_too_few_primes_is_a_rejection(monkeypatch):
-    # an epsilon/m just above the threshold passes it, and no table up to
-    # 1e8 then holds a qualifying prime (the tables are stood in for by 1e5)
-    small = angles.factor.split_prime_angles(10**5)
-    monkeypatch.setattr(angles.factor, "split_prime_angles", lambda x: small)
-    with pytest.raises(ValueError, match="fewer than 1 split primes"):
-        bad_circle(angles._SMALLEST_SPLIT_ANGLES[0] * 1.00001, 12)
+def test_bad_circle_too_few_primes_is_a_rejection():
+    # the walk to 1e8 decides at the edge: below the smallest split-prime
+    # angle, 8.6607e-5 of p = 99990001, it finds no prime, and just above it
+    # that one
+    edge = EisensteinInt(9999, 1).arg()
+    assert edge == pytest.approx(8.6607e-5, rel=1e-5)
+    with pytest.raises(ValueError, match="no split prime below 1e8"):
+        bad_circle(edge * (1.0 - 2.0**-40), 12)
+    assert bad_circle(edge, 12).primes == bad_circle(edge * 1.00001, 12).primes == (99990001,)
+
+
+def test_bad_circle_walks_the_thin_sector_only(monkeypatch):
+    # the accepted case near the edge reads no split-prime table: of the nine
+    # split primes below 1e8 with an angle <= 8.7e-5, p = 99151807 is the least
+    monkeypatch.setattr(angles.factor, "split_prime_angles", lambda *args: pytest.fail("built a table"))
+    bc = bad_circle(8.7e-5, 12)
+    assert (bc.n, bc.primes, bc.m, bc.points.count) == (99151807, (99151807,), 1, 12)

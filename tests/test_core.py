@@ -1,6 +1,8 @@
 """Ring axioms and the canonical sector, mostly property-based."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,3 +146,28 @@ def test_arg_of_canonical_rep_in_sector_interval(z):
     x, _ = canonical_associate(z)
     t = eis_arg(x)
     assert -math.pi / 6 - 1e-12 <= t < math.pi / 6 + 1e-12
+
+
+def test_eisenstein_int_value_contract():
+    # equal, hashed and ordered as the pair (a, b), but never equal to a
+    # tuple or an operand of tuple or int arithmetic; immutable
+    z = EisensteinInt(1, 2)
+    assert repr(z) == "EisensteinInt(a=1, b=2)" and str(z) == "1+2w"
+    assert z == EisensteinInt(1, 2) and hash(z) == hash((1, 2))
+    assert len({z, EisensteinInt(1, 2), EisensteinInt(2, 1)}) == 2
+    assert z != (1, 2) and (1, 2) != z and not z == (1, 2)
+    pts = [EisensteinInt(2, -1), z, EisensteinInt(1, -3), EisensteinInt(-4, 9)]
+    assert sorted(pts) == [EisensteinInt(-4, 9), EisensteinInt(1, -3), z, EisensteinInt(2, -1)]
+    assert z <= z and z >= z and not z < z and not z > z and EisensteinInt(1, 3) > z
+    for bad in (lambda: 2 * z, lambda: (1, 2) + z, lambda: z < (1, 2), lambda: (1, 2) >= z):
+        with pytest.raises(TypeError):
+            bad()
+    for bad in (lambda: setattr(z, "a", 5), lambda: delattr(z, "b"), lambda: setattr(z, "c", 0)):
+        with pytest.raises(AttributeError):
+            bad()
+    assert (z.a, z.b) == (1, 2)
+    for twin in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+        assert twin == z and type(twin) is EisensteinInt
+    match z:
+        case EisensteinInt(a, b):
+            assert (a, b) == (1, 2)

@@ -1,12 +1,18 @@
 """Circle discrepancy: exact sweep, Erdos-Turan bound, census, survey."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from eisen import discrepancy
 from eisen.discrepancy import (
     GAMMA_MAX,
     b_q,
@@ -280,3 +286,28 @@ def test_survey_validation():
         assert "0.6515" in str(exc.value)  # the message names the threshold
     with pytest.raises(ValueError):
         discrepancy_survey(1000, 0.5, threads=0)
+
+
+def test_survey_table_matches_the_exact_sweep():
+    n, m, delta = discrepancy._survey_circles(3000)
+    assert n.tolist() == [k for k in range(1, 3001) if r_q(k)]
+    assert not (n.flags.writeable or m.flags.writeable or delta.flags.writeable)
+    for k, mk, dk in zip(n.tolist(), m.tolist(), delta.tolist()):
+        exact = discrepancy_exact(k)
+        assert exact.count == 6 * mk
+        assert dk == pytest.approx(exact.delta, abs=1e-15)
+
+
+def test_gamma_scan_reuses_the_table_and_matches_fresh_processes():
+    gammas = (0.5, 0.6, 0.64, 0.65)
+    discrepancy._survey_circles.cache_clear()
+    scan = [discrepancy_survey(30000, g) for g in gammas]
+    info = discrepancy._survey_circles.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(discrepancy.__file__).parents[1]),
+                                                                   os.environ.get("PYTHONPATH")])))
+    for g, rep in zip(gammas, scan):
+        code = f"from eisen.discrepancy import discrepancy_survey; print(repr(discrepancy_survey(30000, {g!r})))"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == repr(rep), g
+    assert repr(scan[-1]).startswith("SurveyReport(x=30000, gamma=0.65, b_q=")

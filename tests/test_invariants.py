@@ -73,8 +73,37 @@ def test_import_loads_no_scipy():
     everything = _loaded("from eisen import *")
     assert "numpy" in everything and "scipy" not in everything
     assert {"numpy", "scipy"}.isdisjoint(_loaded("import eisen, eisen.cli"))
-    for argv in (["rq", "441"], ["points", "4921"], ["factor", "997002999"], ["expsum", "4921", "6"], ["li", "1e6"]):
+    for argv in (["rq", "441"], ["points", "4921"], ["factor", "997002999"], ["expsum", "4921", "6"], ["li", "1e6"],
+                 ["bad-circle", "0.2", "12"]):
         assert {"numpy", "scipy"}.isdisjoint(_loaded(f"from eisen import cli; cli.run({argv!r})")), argv
+
+
+def test_value_types_load_no_dataclasses():
+    # the records are named tuples and EisensteinInt a slotted class, so
+    # the modules that load no numpy load no dataclasses (nor its inspect)
+    assert {"dataclasses", "inspect", "numpy"}.isdisjoint(_loaded("from eisen import analytic, angles, cli, core"))
+
+
+def test_records_are_immutable_named_tuples():
+    from eisen import angles, discrepancy, expsum, factor
+    records = [factor.circle_points(7), factor.prime_record(7), factor.factor_eisenstein(21),
+               expsum.exp_sum(7, 6), expsum.avg_exp_sum(2000, 6, [1000, 2000]),
+               angles.SectorQuery(100, -0.1, 0.1), angles.chi_prime_sum(100, 1), angles.bad_circle(0.3, 12),
+               discrepancy.discrepancy_exact(7), discrepancy.discrepancy_survey(1000, 0.5)]
+    assert len({type(rec) for rec in records}) == 10
+    for rec in records:
+        name = type(rec).__name__
+        assert isinstance(rec, tuple) and name in eisen.__all__, name
+        fields = ", ".join(f"{f}={getattr(rec, f)!r}" for f in rec._fields)
+        assert repr(rec) == f"{name}({fields})"
+        with pytest.raises(AttributeError):
+            setattr(rec, rec._fields[0], 0)
+    assert repr(records[5]) == "SectorQuery(x=100, phi1=-0.1, phi2=0.1)"
+    # a query is checked however it is made
+    with pytest.raises(ValueError, match="phi1 < phi2"):
+        records[5]._replace(phi1=0.2)
+    with pytest.raises(ValueError, match="x >= 2"):
+        angles.SectorQuery(x=1, phi1=-0.1, phi2=0.1)
 
 
 def test_sector_rejects_li_2_before_loading_numpy():
