@@ -257,7 +257,9 @@ def test_survey_across_bands(x, frozen):
 
 
 def test_survey_holds_one_band_at_a_time():
-    # the whole sector to 1e6 (about 605,000 points) traced 41 MB
+    # the whole sector to 1e6 (about 605,000 points) traced 41 MB; the
+    # sweep runs, not a lookup of the kept circle table
+    discrepancy._survey_circles.cache_clear()
     tracemalloc.start()
     try:
         discrepancy_survey(10**6, 0.6)
