@@ -27,11 +27,12 @@ doubling, roundoff floor) over it meets tol, and the lattice sum elsewhere.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
 
-from . import expsum, factor
+from .core import _arg, _row_end
 
 # the Gaussian decay constant of theta, and also the average of r_Q
 C_THETA = 2.0 * math.pi / math.sqrt(3.0)
@@ -126,25 +127,49 @@ def _theta_radius(t: float, a: int, tol: float) -> tuple[int, float]:
 
 
 @functools.lru_cache(maxsize=1)
-def _sector_table():
-    """(norms, log norms, angles) of the sector to norm _TABLE_NORMS, from factor.sector_bands (2,474 points)."""
-    import numpy as np
-    norms, angs = map(np.concatenate, zip(*factor.sector_bands(_TABLE_NORMS)))
-    return norms, np.log(norms), angs
+def _sector_table() -> tuple[list[int], list[float], list[float], list[int]]:
+    """The kept sector table: norms, log norms and angles, and the norm bounds of the bands they hold."""
+    return [], [], [], [0]
 
 
-def _sector_terms(t, a: int, R: int, shift: float = 0.0):
-    """(w, w cos(6a arg mu)) over the sector to norm R, w = exp(3a log n + shift - ctn),
-    for a float t or per element of an array of t along a last axis.  6 times the
-    second's sum is e^shift (theta(t, a) - [a = 0]), as mu^{6a} is the same on all
-    six associates; 6 times the sum of w bounds it.  A term overflows only where it
-    passes the double range; callers sum in the fixed (norm, angle) order."""
-    import numpy as np
-    norms, logs, angs = _sector_table()
-    k = norms.searchsorted(R, side="right")
-    t = np.asarray(t, dtype=np.float64)
-    w = np.exp((3.0 * a * logs[:k] + shift) - C_THETA * t[..., None] * norms[:k])
-    return w, (w * np.cos(6.0 * a * angs[:k]) if a != 0 else w)
+def _sector_slice(R: int) -> tuple[list[int], list[float], list[float]]:
+    """(norms, log norms, angles) of the sector to norm R <= _TABLE_NORMS in
+    factor.sector_bands' (norm, angle) order: 2,474 points at _TABLE_NORMS.
+
+    The kept table grows in norm bands (lo, 4 lo] from (0, 64] as far as R
+    needs; most calls need R < 100.  In a band each half-sector point
+    a + b*w, a >= b >= 0, gives its angle where a > b and its mirror's, the
+    negated angle clamped at -pi/6, where b >= 1, and the band is sorted."""
+    norms, logs, angs, tops = _sector_table()
+    while tops[-1] < min(R, _TABLE_NORMS):
+        lo = tops[-1]
+        hi = min(max(4 * lo, 64), _TABLE_NORMS)
+        rows = []
+        for b in range(math.isqrt(hi // 3) + 1):
+            for a in range(max(b, 1, _row_end(b, lo) + 1), _row_end(b, hi) + 1):
+                n, t = a * a + a * b + b * b, _arg(a, b)
+                if b >= 1:
+                    rows.append((n, max(-t, -math.pi / 6.0)))
+                if a > b:
+                    rows.append((n, t))
+        rows.sort()
+        norms += [n for n, _ in rows]
+        logs += [math.log(n) for n, _ in rows]
+        angs += [t for _, t in rows]
+        tops.append(hi)
+    k = bisect.bisect_right(norms, R)
+    return norms[:k], logs[:k], angs[:k]
+
+
+def _sector_terms(t: float, a: int, R: int, shift: float = 0.0) -> tuple[list[float], list[float]]:
+    """(w, w cos(6a arg mu)) over the sector to norm R, w = exp(3a log n + shift - ctn).
+    6 times the second's sum is e^shift (theta(t, a) - [a = 0]), as mu^{6a} is the
+    same on all six associates; 6 times the sum of w bounds it.  A term past the
+    double range raises OverflowError."""
+    norms, logs, angs = _sector_slice(R)
+    ct = C_THETA * t
+    w = [math.exp((3.0 * a * lg + shift) - ct * n) for n, lg in zip(norms, logs)]
+    return w, [wi * math.cos(6.0 * a * ang) for wi, ang in zip(w, angs)]
 
 
 def _theta_with_error(t: float, a: int, tol: float, fold: bool = True) -> tuple[float, float]:
@@ -169,11 +194,12 @@ def _theta_with_error(t: float, a: int, tol: float, fold: bool = True) -> tuple[
     if a >= 1 and 3 * a <= C_THETA * t and math.log(6.0) + shift - C_THETA * t < math.log(5e-324):
         raise ValueError(f"theta at t = {t0:g}, a = {a} underflows double precision; use a t nearer 1")
     R, log_tail = _theta_radius(t, a, tol)
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    try:
         w, terms = _sector_terms(t, a, R, shift)
-        val = 6.0 * float(np.add.reduce(terms, axis=-1)) + one
-        absum = 6.0 * float(np.add.reduce(w, axis=-1))
+        val = 6.0 * math.fsum(terms) + one
+        absum = 6.0 * math.fsum(w)
+    except OverflowError:  # a term or a sum past the double range, reported below
+        val = absum = math.inf
     tail = math.exp(log_tail + shift) if log_tail + shift < 709.0 else math.inf
     e_max = 3 * a * math.log(R) + C_THETA * t * R + shift + math.pi * a
     err = tail + 2.0**-51 * (1.0 + e_max) * absum + 2.0**-52 * one
@@ -224,15 +250,14 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
         # the floor is 1e-13 int_1^inf |f|, and |f| <= 6 sum_n n^{3a} e^{-cnv} (v^q + v^q') over the sector,
         # q = max(p, 0) for p in {sigma + 3a - 1, 3a - sigma}; shell by shell, int_1^inf e^{-cnv} v^q dv is
         # at most Gamma(q+1)/(cn)^{q+1}, or e^{-cn}/(cn - q) where cn > q, as (1+u)^q <= e^{qu}
-        import numpy as np
-        n, logn, _ = _sector_table()
-        k = n.searchsorted(_theta_radius(1.0, aa, 1e-12)[0], side="right")
-        cn, lw, floor = C_THETA * n[:k], 3 * aa * logn[:k], 0.0  # lw = log n^{3a}
+        norms, logs, _ = _sector_slice(_theta_radius(1.0, aa, 1e-12)[0])
+        parts = []
         for q in (max(s.real + 3 * aa - 1.0, 0.0), max(3 * aa - s.real, 0.0)):
-            with np.errstate(divide="ignore"):  # inf where cn <= q
-                tail = np.exp(lw - cn) / np.maximum(cn - q, 0.0)
-            gam = np.exp(lw + math.lgamma(q + 1.0) - (q + 1.0) * np.log(cn))
-            floor += 6e-13 * float(np.add.reduce(np.minimum(gam, tail)))
+            for n, logn in zip(norms, logs):
+                cn, lw = C_THETA * n, 3 * aa * logn  # lw = log n^{3a}
+                gam = math.exp(lw + math.lgamma(q + 1.0) - (q + 1.0) * math.log(cn))
+                parts.append(min(gam, math.exp(lw - cn) / (cn - q)) if cn > q else gam)
+        floor = 6e-13 * math.fsum(parts)
         if floor * scale + 1e-14 * abs(s + 3 * aa) <= tol:
             xi, bound = _xi_integral(s, aa, 1e-3 * tol / scale)  # the last digits cost little more
             via_xi = xi / G, bound / abs(G) + 1e-14 * abs(s + 3 * aa) * abs(xi / G)
@@ -250,6 +275,7 @@ def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:
     for a != 0), plus 8 ulps of the unsigned sum for the roundoff.
     """
     import numpy as np
+    from . import expsum
     sigma = s.real
     beta = 1.0 / 3.0 if a == 0 else 0.5
     growth = (1.0 + abs(s) / (sigma - beta)) * 10.0 / 6.0
@@ -305,8 +331,11 @@ def _xi_integral(s: complex, a: int, tol: float) -> tuple[complex, float]:
     import numpy as np
     inner = min(1e-12, tol * 1e-3)
     R = _theta_radius(1.0, a, inner)[0]  # theta(v) for every v >= 1 needs no more
+    # the arrays of _sector_terms, to take its terms at every node at once
+    n, lw, angs = map(np.array, _sector_slice(R))
+    lw, cos6a = 3.0 * a * lw, np.cos(6.0 * a * angs)
     # |theta(v, a) - [a = 0]| <= K e^{-cv} for all v >= 1
-    K = math.exp(C_THETA) * (6.0 * float(np.add.reduce(_sector_terms(1.0, a, R)[0], axis=-1)))
+    K = math.exp(C_THETA) * (6.0 * float(np.add.reduce(np.exp(lw - C_THETA * n))))
     m = max(s.real + 3 * a - 1.0, -s.real + 3 * a, 0.0)
     V = max(4.0, 4.0 * m / C_THETA)
     while K * math.exp(-C_THETA * V + m * math.log(V)) * 2.0 / C_THETA > tol / 4.0:
@@ -327,7 +356,7 @@ def _xi_integral(s: complex, a: int, tol: float) -> tuple[complex, float]:
         w = np.tile((h / 2.0) * gl_w, P)
         lv = np.log(v)
         g = np.exp((s + 3 * a - 1) * lv) + np.exp((-s + 3 * a) * lv)
-        f = 6.0 * np.add.reduce(_sector_terms(v, a, R)[1], axis=-1) * g
+        f = 6.0 * np.add.reduce(np.exp(lw - C_THETA * v[:, None] * n) * cos6a, axis=-1) * g
         val = complex(np.add.reduce(w * f))  # pairwise, not BLAS: the same bits on any thread count
         floor = 1e-13 * float(np.add.reduce(w * np.abs(f)))
         if prev is not None and abs(val - prev) <= max(tol / 4.0, floor):

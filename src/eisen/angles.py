@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import factor
 from .analytic import li
-from .core import SQRT3, _arg
+from .core import SQRT3, _arg, _row_end
 from .factor import CirclePointSet, circle_points, is_prime, primes_up_to
 
 if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
@@ -169,24 +169,20 @@ class CharacterSumValue(NamedTuple):
 
 
 def chi_prime_sum(x: float, a: int) -> CharacterSumValue:
-    """sum over prime ideals of norm <= x of chi^{6a}(p) = e^{i 6a theta}."""
-    if a == 0:
-        raise ValueError("a = 0 just counts the ideals")
-    import numpy as np
-    _, thetas = _ideal_arrays(x)
-    value = complex(np.sum(np.exp(1j * 6 * a * thetas)))
-    return CharacterSumValue(x, a, value)
+    """sum over prime ideals of norm <= x of chi^{6a}(p) = e^{i 6a theta},
+    from the split-prime table by chi_prime_sum_decomposition: the ideals at
+    +theta_p and -theta_p pair into 2 cos(6a theta_p), so the sum is real."""
+    return CharacterSumValue(x, a, chi_prime_sum_decomposition(x, a))
 
 
 def chi_prime_sum_decomposition(x: float, a: int) -> complex:
-    """The same sum assembled from its three parts:
+    """The sum over prime ideals assembled from its three parts:
 
         sum_{p<=x, p=1(3)} 2 cos(6a theta_p)
       + #{q = 2 (3) : q^2 <= x}
       + (-1)^a [3 <= x]
 
-    Every part is empty below x = 2, so the sum is 0 there, as
-    chi_prime_sum gives it.
+    Every part is empty below x = 2, so the sum is 0 there.
     """
     if a == 0:
         raise ValueError("a = 0 just counts the ideals")
@@ -248,12 +244,6 @@ class BadCircle(NamedTuple):
     m: int
     epsilon: float
     points: CirclePointSet
-
-
-def _row_end(b: int, v: int) -> int:
-    """The largest a with a^2 + ab + b^2 <= v on row b, as factor._row_ends
-    gives it: below the row's first a > b when no such a exists."""
-    return (math.isqrt(max(4 * v - 3 * b * b, 0)) - b) // 2
 
 
 def _thin_split_primes(delta: float, m: int) -> list[int]:

@@ -128,6 +128,12 @@ def _arg(a: int, b: int) -> float:
     return -math.pi if phi == math.pi else phi
 
 
+def _row_end(b: int, v: int) -> int:
+    """The largest a with a^2 + ab + b^2 <= v on row b, as factor._row_ends
+    gives it: below the row's first a > b when no such a exists."""
+    return (math.isqrt(max(4 * v - 3 * b * b, 0)) - b) // 2
+
+
 ZERO = EisensteinInt(0, 0)
 ONE = EisensteinInt(1, 0)
 OMEGA = EisensteinInt(0, 1)

@@ -1,7 +1,8 @@
 """Reference implementations shared by the tests: the integer-square-root
-oracle for circle point sets, and the unsorted prime-ideal angles with the
-KS statistic over their full sort."""
+oracle for circle point sets, the unsorted prime-ideal angles with the
+KS statistic over their full sort, and the ideal-by-ideal character sum."""
 
+import cmath
 import math
 
 import numpy as np
@@ -41,6 +42,11 @@ def ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
     q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
     p_arr, t_arr, other_n, other_t = angles._ideal_parts(x)
     return np.concatenate((p_arr, p_arr, other_n)), np.concatenate((t_arr, -t_arr, other_t))
+
+
+def chi_sum_by_ideals(x: float, a: int) -> complex:
+    """sum of e^{i 6a theta} ideal by ideal over prime_ideals_up_to(x)."""
+    return sum(cmath.exp(6j * a * t) for _, t in angles.prime_ideals_up_to(x))
 
 
 def equi_stat_by_sort(x: float) -> tuple[float, int]:

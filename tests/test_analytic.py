@@ -133,18 +133,30 @@ def test_theta_large_t_tail():
 
 
 def test_theta_slices_the_cached_sector_table():
-    # one fixed table, the joined sector bands to norm 4096, serves every
-    # radius; its slice at R holds the bits of a fresh build to R
-    norms, logs, angs = analytic._sector_table()
-    want = [np.concatenate(arrs) for arrs in zip(*factor.sector_bands(analytic._TABLE_NORMS))]
-    assert np.array_equal(norms, want[0]) and np.array_equal(angs, want[1])
-    assert np.array_equal(logs, np.log(want[0]))
-    assert norms.size == 2474 and analytic._sector_table() is analytic._sector_table()
+    # one kept table, the sector in factor.sector_bands' order built in pure
+    # Python and grown band by band as far as a call needs, serves every
+    # radius.  Its norms and logs are numpy's bits; its angles come from
+    # math.atan2, which rounds 76 of them one ulp away from numpy's arctan2
+    analytic._sector_table.cache_clear()
+    for R in (1, 7, 650, 2984, 30, analytic._TABLE_NORMS):
+        analytic._sector_terms(1.5, 2, R)
+    norms, logs, angs = analytic._sector_slice(analytic._TABLE_NORMS)
+    assert analytic._sector_table.cache_info().misses == 1  # built once, then grown
+    assert analytic._sector_table()[3] == [0, 64, 256, 1024, 4096]
+    want_n, want_a = (np.concatenate(arrs) for arrs in zip(*factor.sector_bands(analytic._TABLE_NORMS)))
+    assert len(norms) == 2474 and np.array_equal(norms, want_n) and np.array_equal(logs, np.log(want_n))
+    off = np.abs(np.array(angs) - want_a) / np.spacing(np.abs(want_a))
+    assert off.max() <= 1.0 and np.count_nonzero(off) <= 76
+    n, lg, ang = np.array(norms), np.array(logs), np.array(angs)
     for R in (1, 7, 650, 2984):
+        k = n.searchsorted(R, side="right")
+        assert analytic._sector_slice(R) == (norms[:k], logs[:k], angs[:k]), R
         w, terms = analytic._sector_terms(1.5, 2, R)
-        fresh_n, fresh_a = (np.concatenate(arrs) for arrs in zip(*factor.sector_bands(R)))
-        want = np.exp(6.0 * np.log(fresh_n) - C_THETA * 1.5 * fresh_n)
-        assert np.array_equal(w, want) and np.array_equal(terms, want * np.cos(12.0 * fresh_a)), R
+        # math.exp against numpy's exp on the same slice: the same expression, rounded within one ulp
+        want = np.exp(6.0 * lg[:k] - C_THETA * 1.5 * n[:k])
+        assert len(w) == k and np.all(np.abs(np.array(w) - want) <= np.spacing(want)), R
+        assert np.array_equal(terms, np.array(w) * np.cos(12.0 * ang[:k])), R
+        assert w == [math.exp(6.0 * math.log(m) - C_THETA * 1.5 * m) for m in norms[:k]], R
 
 
 def test_theta_validation():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from bruteforce import equi_stat_by_sort, ideal_angles
+from bruteforce import chi_sum_by_ideals, equi_stat_by_sort, ideal_angles
 
 from eisen import angles, factor
 from eisen.angles import (
@@ -187,10 +187,12 @@ def test_chi_prime_sum_rejects_trivial_character():
 
 
 def test_chi_decomposition_matches():
+    # the split-prime decomposition against the ideal-by-ideal sum of e^{i 6a theta}
     for x in (50, 1000, 10**4):
         for a in (1, 2, 3, -1):
-            whole = chi_prime_sum(x, a).value
+            whole = chi_sum_by_ideals(x, a)
             parts = chi_prime_sum_decomposition(x, a)
+            assert chi_prime_sum(x, a).value == parts and parts.imag == 0.0
             assert abs(whole - parts) < 1e-8 * max(1.0, abs(whole))
 
 

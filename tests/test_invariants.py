@@ -74,8 +74,15 @@ def test_import_loads_no_scipy():
     assert "numpy" in everything and "scipy" not in everything
     assert {"numpy", "scipy"}.isdisjoint(_loaded("import eisen, eisen.cli"))
     for argv in (["rq", "441"], ["points", "4921"], ["factor", "997002999"], ["expsum", "4921", "6"], ["li", "1e6"],
-                 ["bad-circle", "0.2", "12"]):
+                 ["bad-circle", "0.2", "12"], ["theta", "1.5", "1"], ["theta", "0.05", "4"],
+                 ["theta-check", "0.5", "2"]):
         assert {"numpy", "scipy"}.isdisjoint(_loaded(f"from eisen import cli; cli.run({argv!r})")), argv
+
+
+def test_analytic_loads_no_numpy_and_no_prime_sieve():
+    # theta sums its sector table in pure Python; only xi and the lattice route of L load numpy
+    code = "from eisen import analytic\nimport sys; print('numpy' in sys.modules, 'eisen.factor' in sys.modules)"
+    assert _fresh(code).split() == ["False", "False"]
 
 
 def test_value_types_load_no_dataclasses():
