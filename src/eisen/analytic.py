@@ -183,8 +183,8 @@ def _theta_with_error(t: float, a: int, tol: float, fold: bool = True) -> tuple[
         raise ValueError("finite t > 0 required")
     if a < 0:
         raise ValueError("a >= 0 required")
-    if tol <= 0:
-        raise ValueError("tol > 0 required")
+    if not 0 < tol < math.inf:  # NaN fails both
+        raise ValueError("finite tol > 0 required")
     t0, shift, one = t, 0.0, float(a == 0)  # one: the mu = 0 term
     if fold and t < 1.0:
         shift = -(1.0 + 6.0 * a) * math.log(t)  # log t^{-1-6a}
@@ -240,8 +240,10 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
         raise ValueError("Re s >= 1.1 required; the integral form continues further")
     if abs(a) > 8:
         raise ValueError("|a| <= 8")
-    if tol <= 0:
-        raise ValueError("tol > 0 required")
+    if abs(s.imag) * math.log(2e6) >= 2.0**53:  # the phases t log n, n <= 2e6, keep no correct bit
+        raise ValueError("|Im s| < 2^53 / log(2e6), about 6.2e14, required; past it t log n has no correct bit")
+    if not 0 < tol < math.inf:  # NaN fails both
+        raise ValueError("finite tol > 0 required")
     aa = abs(a)  # the coefficients S(n, 6a) are even in a
     via_xi = (0j, math.inf)
     if abs(s) <= 50:
@@ -279,7 +281,10 @@ def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:
     sigma = s.real
     beta = 1.0 / 3.0 if a == 0 else 0.5
     growth = (1.0 + abs(s) / (sigma - beta)) * 10.0 / 6.0
-    want = (growth / tol) ** (1.0 / (sigma - beta))
+    try:
+        want = (growth / tol) ** (1.0 / (sigma - beta))
+    except OverflowError:  # a tol far below roundoff asks for more than the cap
+        want = math.inf
     R = int(min(2_000_000, max(300_000, want)))
     # band by band over the sector sums c(n) = S(n, 6a) / 6, which are
     # real; A_R = A(R) / 6 sums them to the cutoff for the boundary
@@ -379,8 +384,8 @@ def xi_integral(s: complex, a: int, tol: float = 1e-9) -> complex:
         raise ValueError("a must lie in 1..8")
     if abs(s) > 50:
         raise ValueError("|s| <= 50")
-    if tol <= 0:
-        raise ValueError("tol > 0 required")
+    if not 0 < tol < math.inf:  # NaN fails both
+        raise ValueError("finite tol > 0 required")
     return _xi_integral(s, a, tol)[0]
 
 

@@ -6,7 +6,9 @@ Exit status is 0 on success, 2 for bad usage or a rejected argument,
 and 1 for an internal failure.  Each subcommand imports the one module it
 calls, so only the lattice statistics, xi-check and lfunc pay for loading
 numpy: rq, points, factor, expsum, bad-circle, theta, theta-check and li
-start without it, as does a rejected sector.  main() sets
+start without it, as does a rejected sector.  The subcommands and their
+arguments are one table, _COMMANDS, and run() checks --threads and
+EISEN_THREADS once, for every subcommand.  main() sets
 OPENBLAS_NUM_THREADS to 1 unless the caller set it, so numpy starts no idle
 BLAS pool and the process runs on one thread; run() leaves it alone.
 """
@@ -54,21 +56,6 @@ class _Output:
         self._writer.writerow(flat)
 
 
-def _threads(args) -> int:
-    """--threads, else EISEN_THREADS, else 1; validated but changes nothing."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        return args.threads
-    env = os.environ.get("EISEN_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("EISEN_THREADS must be >= 1")
-        return n
-    return 1
-
-
 def _cmd_points(args, out: _Output) -> None:
     from . import factor
     for angle, a, b in factor._circle_args(args.n):  # circle_points' order and angles
@@ -105,18 +92,13 @@ def _cmd_expsum(args, out: _Output) -> None:
     )
 
 
-def _default_checkpoints(x: int) -> list[int]:
-    cks = sorted({10**k for k in range(3, 8) if 10**k <= x} | {x})
-    return cks
-
-
 def _cmd_avg_expsum(args, out: _Output) -> None:
     from . import expsum
     if args.checkpoints:
         cks = sorted(int(c) for c in args.checkpoints.split(","))
     else:
-        cks = _default_checkpoints(args.x)
-    rep = expsum.avg_exp_sum(args.x, args.A, checkpoints=cks, threads=_threads(args))
+        cks = sorted({10**k for k in range(3, 8) if 10**k <= args.x} | {args.x})
+    rep = expsum.avg_exp_sum(args.x, args.A, checkpoints=cks)
     slope = rep.fitted_exponent
     slope_out = None if slope is None or math.isnan(slope) else _round15(slope)
     for cx, mean in rep.checkpoints:
@@ -188,7 +170,7 @@ def _cmd_discrepancy(args, out: _Output) -> None:
         "alpha": _round15(res.witness[0]),
         "beta": _round15(res.witness[1]),
     }
-    if args.random_arcs:
+    if args.random_arcs is not None:
         seed = args.seed if args.seed is not None else 0
         result["random_lower_bound"] = _round15(
             discrepancy.discrepancy_random_lower_bound(args.n, args.random_arcs, seed)
@@ -198,7 +180,7 @@ def _cmd_discrepancy(args, out: _Output) -> None:
 
 def _cmd_survey(args, out: _Output) -> None:
     from . import discrepancy
-    rep = discrepancy.discrepancy_survey(args.x, args.gamma, threads=_threads(args))
+    rep = discrepancy.discrepancy_survey(args.x, args.gamma)
     out.emit(
         {"x": args.x, "gamma": args.gamma},
         {
@@ -261,7 +243,36 @@ def _cmd_li(args, out: _Output) -> None:
     out.emit({"x": args.x}, _round15(analytic.li(args.x)))
 
 
-_THREADS_HELP = "accepted for compatibility, like EISEN_THREADS; must be >= 1 and changes nothing"
+# name: (help, positionals as "dest:type"); the handler is _cmd_<name> with
+# dashes as underscores, looked up by run() when the command runs
+_COMMANDS = {
+    "points": ("lattice points on |mu|^2 = N", "n:int"),
+    "rq": ("number of points on |mu|^2 = N", "n:int"),
+    "factor": ("factorization over Z[w]", "n:int"),
+    "expsum": ("exponential sum S(N, A)", "n:int A:int"),
+    "avg-expsum": ("running mean of |S(n, A)|/6 up to X", "x:int A:int"),
+    "sector": ("split primes with angle in [PHI1, PHI2]", "x:int phi1:float phi2:float"),
+    "chi-sum": ("sum of chi^{6a} over prime ideals", "x:int a:int"),
+    "equi-stat": ("KS statistic of ideal angles vs uniform", "x:int"),
+    "bad-circle": ("populated circle hugging the sextant directions", "eps:float k:int"),
+    "discrepancy": ("exact circle discrepancy Delta(N)", "n:int"),
+    "survey": ("fraction of circles with Delta > r_Q^-gamma", "x:int gamma:float"),
+    "bq": ("count of populated circles up to X", "x:int"),
+    "theta": ("theta(T, a) lattice sum", "t:float a:int"),
+    "theta-check": ("theta transformation law residual", "t:float a:int"),
+    "lfunc": ("L(SIGMA + iT, chi^{6a})", "sigma:float t:float a:int"),
+    "xi-check": ("functional equation residual at RE + i IM", "re:float im:float a:int"),
+    "li": ("logarithmic integral Li(X)", "x:float"),
+}
+
+# flag, its default before the subcommand, and the rest of add_argument's keywords
+_GLOBAL_FLAGS = (
+    ("--format", "json", {"choices": ("json", "csv")}),
+    ("--tol", None, {"type": float}),
+    ("--threads", None, {
+        "type": int, "help": "accepted for compatibility, like EISEN_THREADS; must be >= 1 and changes nothing"}),
+    ("--seed", None, {"type": int}),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,104 +280,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="eisen",
         description="Lattice points, exponential sums and L-functions on the hexagonal lattice.",
     )
-    top.add_argument("--format", choices=("json", "csv"), default="json")
-    top.add_argument("--tol", type=float, default=None)
-    top.add_argument("--threads", type=int, default=None, help=_THREADS_HELP)
-    top.add_argument("--seed", type=int, default=None)
-
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # flag given before the subcommand from being clobbered by a default
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default=argparse.SUPPRESS)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS, help=_THREADS_HELP)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    for flag, default, kwargs in _GLOBAL_FLAGS:
+        top.add_argument(flag, default=default, **kwargs)
+        common.add_argument(flag, default=argparse.SUPPRESS, **kwargs)
 
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("points", parents=[common], help="lattice points on |mu|^2 = N")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_points)
-
-    p = sub.add_parser("rq", parents=[common], help="number of points on |mu|^2 = N")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_rq)
-
-    p = sub.add_parser("factor", parents=[common], help="factorization over Z[w]")
-    p.add_argument("n", type=int)
-    p.set_defaults(func=_cmd_factor)
-
-    p = sub.add_parser("expsum", parents=[common], help="exponential sum S(N, A)")
-    p.add_argument("n", type=int)
-    p.add_argument("A", type=int)
-    p.set_defaults(func=_cmd_expsum)
-
-    p = sub.add_parser("avg-expsum", parents=[common], help="running mean of |S(n, A)|/6 up to X")
-    p.add_argument("x", type=int)
-    p.add_argument("A", type=int)
-    p.add_argument("--checkpoints", type=str, default=None, help="comma separated x values")
-    p.set_defaults(func=_cmd_avg_expsum)
-
-    p = sub.add_parser("sector", parents=[common], help="split primes with angle in [PHI1, PHI2]")
-    p.add_argument("x", type=int)
-    p.add_argument("phi1", type=float)
-    p.add_argument("phi2", type=float)
-    p.set_defaults(func=_cmd_sector)
-
-    p = sub.add_parser("chi-sum", parents=[common], help="sum of chi^{6a} over prime ideals")
-    p.add_argument("x", type=int)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_chi_sum)
-
-    p = sub.add_parser("equi-stat", parents=[common], help="KS statistic of ideal angles vs uniform")
-    p.add_argument("x", type=int)
-    p.set_defaults(func=_cmd_equi_stat)
-
-    p = sub.add_parser("bad-circle", parents=[common], help="populated circle hugging the sextant directions")
-    p.add_argument("eps", type=float)
-    p.add_argument("k", type=int)
-    p.set_defaults(func=_cmd_bad_circle)
-
-    p = sub.add_parser("discrepancy", parents=[common], help="exact circle discrepancy Delta(N)")
-    p.add_argument("n", type=int)
-    p.add_argument("--random-arcs", type=int, default=None)
-    p.set_defaults(func=_cmd_discrepancy)
-
-    p = sub.add_parser("survey", parents=[common], help="fraction of circles with Delta > r_Q^-gamma")
-    p.add_argument("x", type=int)
-    p.add_argument("gamma", type=float)
-    p.set_defaults(func=_cmd_survey)
-
-    p = sub.add_parser("bq", parents=[common], help="count of populated circles up to X")
-    p.add_argument("x", type=int)
-    p.set_defaults(func=_cmd_bq)
-
-    p = sub.add_parser("theta", parents=[common], help="theta(T, a) lattice sum")
-    p.add_argument("t", type=float)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("theta-check", parents=[common], help="theta transformation law residual")
-    p.add_argument("t", type=float)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_theta_check)
-
-    p = sub.add_parser("lfunc", parents=[common], help="L(SIGMA + iT, chi^{6a})")
-    p.add_argument("sigma", type=float)
-    p.add_argument("t", type=float)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_lfunc)
-
-    p = sub.add_parser("xi-check", parents=[common], help="functional equation residual at RE + i IM")
-    p.add_argument("re", type=float)
-    p.add_argument("im", type=float)
-    p.add_argument("a", type=int)
-    p.set_defaults(func=_cmd_xi_check)
-
-    p = sub.add_parser("li", parents=[common], help="logarithmic integral Li(X)")
-    p.add_argument("x", type=float)
-    p.set_defaults(func=_cmd_li)
-
+    parsers = {}
+    for name, (help_, positionals) in _COMMANDS.items():
+        p = parsers[name] = sub.add_parser(name, parents=[common], help=help_)
+        for spec in positionals.split():
+            dest, type_ = spec.split(":")
+            p.add_argument(dest, type=int if type_ == "int" else float)
+    parsers["avg-expsum"].add_argument("--checkpoints", help="comma separated x values")
+    parsers["discrepancy"].add_argument("--random-arcs", type=int)
     return top
 
 
@@ -376,9 +305,13 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    out = _Output(args.command, args.format)
     try:
-        args.func(args, out)
+        # --threads, else EISEN_THREADS: validated for every subcommand, and it changes nothing
+        if args.threads is not None and args.threads < 1:
+            raise ValueError("--threads must be >= 1")
+        if args.threads is None and int(os.environ.get("EISEN_THREADS") or 1) < 1:
+            raise ValueError("EISEN_THREADS must be >= 1")
+        globals()["_cmd_" + args.command.replace("-", "_")](args, _Output(args.command, args.format))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

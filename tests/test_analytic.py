@@ -407,6 +407,13 @@ def test_l_validation():
         l_dirichlet(2.0, 0, tol=-1.0)
 
 
+def test_l_at_a_tol_below_roundoff_reports_its_bound():
+    # the lattice cutoff (growth / tol)^(1 / (sigma - beta)) overflowed a double: capped, not an OverflowError
+    val, err = l_dirichlet_with_error(1.1, 0, tol=1e-300)
+    assert math.isfinite(val.real) and 1e-300 < err < 1e-3
+    assert abs(val - l_dirichlet(1.1, 0)) <= err
+
+
 def test_xi_matches_gamma_times_l():
     # the completed function two ways: integral vs (sqrt3/2pi)^s Gamma(s+3a) L(s),
     # L from the lattice sum (l_dirichlet itself takes the integral here)

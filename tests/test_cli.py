@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from datetime import timedelta
 
 import numpy as np
@@ -219,6 +220,40 @@ def test_rejected_arguments_exit_2(capsys):
         assert run(["bad-circle", eps, "12"]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
+    # past |Im s| = 2^53 / log(2e6) the phases t log n keep no correct bit: rejected before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["lfunc", "2", "1e308", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("argv", [["theta", "1.5", "1"], ["theta-check", "1.5", "1"],
+                                  ["lfunc", "2", "0", "1"], ["xi-check", "3", "7", "1"]])
+def test_tol_not_finite_and_positive_exits_2(capsys, argv, tol):
+    assert run(argv + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_random_arcs_below_1_exit_2(capsys):
+    for arcs in ("0", "-1"):
+        assert run(["discrepancy", "91", "--random-arcs", arcs]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == "", arcs
+
+
+def test_threads_below_1_exit_2_on_every_command(capsys, monkeypatch):
+    # validated once in run(), not by the few handlers that pass threads on
+    assert run(["rq", "441", "--threads", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    monkeypatch.setenv("EISEN_THREADS", "0")
+    assert run(["rq", "441"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert run(["rq", "441", "--threads", "2"]) == 0  # the flag wins over the variable
 
 
 def test_json_writer_refuses_non_finite_values(capsys, monkeypatch):
@@ -329,3 +364,65 @@ def test_circle_commands_exit_0_with_records_or_2_with_a_reason(command, n, A):
         angles = [EisensteinInt(p["a"], p["b"]).arg() for p in pts]
         assert recs[0]["result"]["count"] == len(pts)
         assert abs(recs[0]["result"]["delta"] - _full_circle_delta(angles)) <= 1e-12
+
+
+def _num(v: float) -> str:
+    """v as an argument argparse reads as a number: a negative one without an exponent."""
+    return np.format_float_positional(v, trim="-") if v < 0 else repr(v)
+
+
+def _ints(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+def _floats(lo, hi):
+    return (st.floats(min_value=lo, max_value=hi) | st.sampled_from((math.nan, math.inf))).map(_num)
+
+
+def _opt(flag, values):
+    """No flag, or flag=value (the = lets a value start with a dash)."""
+    return st.just([]) | values.map(lambda v: [f"{flag}={v}"])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [w for p in ps for w in ([p] if isinstance(p, str) else p)])
+
+
+# one cheap, bounded argv strategy per subcommand, valid and rejected values alike
+_FUZZ = {
+    "points": _argv(_circle_n().map(str)),
+    "rq": _argv(_ints(-3, 10**15)),
+    "factor": _argv(_ints(-3, 10**15)),
+    "expsum": _argv(_circle_n().map(str), _ints(-40, 40)),
+    "avg-expsum": _argv(_ints(-2, 30000), _ints(-12, 12), _opt("--checkpoints", st.lists(
+        st.integers(min_value=-2, max_value=30000), min_size=1, max_size=3).map(lambda c: ",".join(map(str, c))))),
+    "sector": _argv(_ints(-2, 10**5), _floats(-0.6, 0.6), _floats(-0.6, 0.6)),
+    "chi-sum": _argv(_ints(-2, 10**5), _ints(-10, 10)),
+    "equi-stat": _argv(_ints(-2, 10**5)),
+    "bad-circle": _argv(_floats(-0.1, 0.6), _ints(-2, 200)),
+    "discrepancy": _argv(_circle_n().map(str), _opt("--random-arcs", _ints(-2, 300)), _opt("--seed", _ints(-2, 99))),
+    "survey": _argv(_ints(-2, 20000), _floats(0.0, 1.0)),
+    "bq": _argv(_ints(-2, 10**5)),
+    "theta": _argv(_floats(-0.5, 10.0), _ints(-1, 9)),
+    "theta-check": _argv(_floats(0.1, 6.0), _ints(-1, 4)),
+    "lfunc": _argv(_floats(0.5, 8.0), _floats(-60.0, 60.0) | _floats(-1e300, 1e300), _ints(-9, 9)),
+    "xi-check": _argv(_floats(-40.0, 40.0), _floats(-55.0, 55.0), _ints(-1, 9)),
+    "li": _argv(_floats(-1.0, 1e300)),
+}
+
+_TOL = st.sampled_from((math.nan, math.inf, -math.inf, 0.0, -1.0)) | st.floats(min_value=1e-300, max_value=1.0)
+
+
+def test_fuzz_covers_every_command():
+    assert set(_FUZZ) == set(cli._COMMANDS)
+
+
+@given(st.sampled_from(sorted(_FUZZ)).flatmap(lambda c: _argv(st.just(c), _FUZZ[c], _opt("--tol", _TOL.map(repr)))))
+@settings(max_examples=200, deadline=timedelta(seconds=3))
+def test_every_command_exits_0_with_records_or_2_with_a_reason(argv):
+    code, out, err = _run_captured(argv)
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error:") and out == ""
+        return
+    assert all(json.loads(line)["command"] == argv[0] for line in out.splitlines())
