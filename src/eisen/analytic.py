@@ -274,7 +274,9 @@ def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:
     C_THETA s R^{1-s}/(s-1).  What remains is controlled by the
     fluctuation of the coefficient sum, reported as the error estimate
     with empirical constants (x^{1/3} fluctuation for a = 0, x^{1/2}
-    for a != 0), plus 8 ulps of the unsigned sum for the roundoff.
+    for a != 0), plus the roundoff: 8 ulps of the unsigned sum, and for
+    each term's exponent s log n, which carries about |s| log n ulps,
+    2^-52 |s| log n times the term's size.
     """
     import numpy as np
     from . import expsum
@@ -289,17 +291,20 @@ def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:
     # band by band over the sector sums c(n) = S(n, 6a) / 6, which are
     # real; A_R = A(R) / 6 sums them to the cutoff for the boundary
     # correction
-    total, A_R, absum = 0j, 0.0, 0.0
+    total, A_R, absum, phase = 0j, 0.0, 0.0, 0.0
     for n0, c in expsum._band_cos_sums(R, 6 * a):
         k = np.flatnonzero(c)
-        terms = c[k] * np.exp(-s * np.log((n0 + k).astype(np.float64)))
+        logn = np.log((n0 + k).astype(np.float64))
+        terms = c[k] * np.exp(-s * logn)
         total += complex(np.sum(terms))
-        absum += float(np.sum(np.abs(terms)))
+        size = np.abs(terms)
+        absum += float(np.sum(size))
+        phase += float(size @ logn)
         A_R += float(np.sum(c[k]))
     total -= A_R * R ** complex(-s)
     if a == 0:
         total += C_THETA * s * R ** (1.0 - s) / (s - 1.0) / 6.0
-    return total, float(growth * R ** (beta - sigma) + 8.0 * 2.0**-53 * absum)
+    return total, float(growth * R ** (beta - sigma) + 8.0 * 2.0**-53 * absum + 2.0**-52 * abs(s) * phase)
 
 
 def l_dirichlet(s: complex, a: int, tol: float = 1e-9) -> complex:

@@ -170,13 +170,8 @@ class CharacterSumValue(NamedTuple):
 
 def chi_prime_sum(x: float, a: int) -> CharacterSumValue:
     """sum over prime ideals of norm <= x of chi^{6a}(p) = e^{i 6a theta},
-    from the split-prime table by chi_prime_sum_decomposition: the ideals at
-    +theta_p and -theta_p pair into 2 cos(6a theta_p), so the sum is real."""
-    return CharacterSumValue(x, a, chi_prime_sum_decomposition(x, a))
-
-
-def chi_prime_sum_decomposition(x: float, a: int) -> complex:
-    """The sum over prime ideals assembled from its three parts:
+    from the split-prime table: the ideals at +theta_p and -theta_p pair
+    into 2 cos(6a theta_p), so the sum is real,
 
         sum_{p<=x, p=1(3)} 2 cos(6a theta_p)
       + #{q = 2 (3) : q^2 <= x}
@@ -192,7 +187,7 @@ def chi_prime_sum_decomposition(x: float, a: int) -> complex:
     split_part = float(np.sum(2.0 * np.cos(6.0 * a * t_arr)))
     inert_part = len(_inert_primes(xi))
     ram = ((-1) ** a if x >= 3 else 0)
-    return complex(split_part + inert_part + ram)
+    return CharacterSumValue(x, a, complex(split_part + inert_part + ram))
 
 
 def theta_equidistribution_stat(x: float) -> float:

@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 
 
@@ -275,11 +276,17 @@ _GLOBAL_FLAGS = (
 )
 
 
+# what argparse takes for a negative number, not an option: its own pattern,
+# -\d+ or -\d*\.\d+ (Python <= 3.12), has no exponent, so -1e-05 was an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="eisen",
         description="Lattice points, exponential sums and L-functions on the hexagonal lattice.",
     )
+    top._negative_number_matcher = _NEGATIVE_NUMBER
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # flag given before the subcommand from being clobbered by a default
     common = argparse.ArgumentParser(add_help=False)
@@ -291,6 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     parsers = {}
     for name, (help_, positionals) in _COMMANDS.items():
         p = parsers[name] = sub.add_parser(name, parents=[common], help=help_)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         for spec in positionals.split():
             dest, type_ = spec.split(":")
             p.add_argument(dest, type=int if type_ == "int" else float)

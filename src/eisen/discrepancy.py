@@ -120,6 +120,11 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
     kills every k not divisible by 6, and for k = 6, 12, ... the six
     copies of a sector point add equal terms, so Z_k is the mean over
     the m sector angles.
+
+    Every C >= 3, the default 4 included, gives a proven bound: Montgomery's
+    form of the inequality (Ten Lectures, AMS 1994, ch. 1) is
+    D <= 1/(T+1) + 3 sum_{k<=T} |Z_k| / k, and C/T >= 1/(T+1).  A smaller
+    C > 0 is accepted, but the result is then not proven to bound D.
     """
     if T < 1:
         raise ValueError("T >= 1")

@@ -34,7 +34,6 @@ from .core import (
     SQRT3,
     UNITS,
     _arg,
-    canonical_associate,
     eis_conj,
 )
 
@@ -199,79 +198,48 @@ class PrimeSplitRecord(NamedTuple):
     theta_ideal: float
 
 
-def _sqrt_mod(n: int, p: int) -> int:
-    """Tonelli-Shanks square root of n modulo an odd prime p."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{n} is not a square mod {p}")
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
+PI3 = EisensteinInt(2, -1)  # canonical associate of 1 + w; 3 = w * PI3^2
 
 
-def _represent_prime(p: int) -> EisensteinInt:
-    """Some (a, b) with a^2 + ab + b^2 = p, for split p.
+@functools.lru_cache(maxsize=1 << 12)
+def split_prime_generator(p: int) -> PrimeSplitRecord:
+    """Record for split p: the generator pi = a + b*w with a > b >= 1, the
+    one element of norm p with theta_p in the open sector (0, pi/6).
 
-    Cornacchia on 4p = x^2 + 3y^2: take r odd with r^2 = -3 (mod p)
-    (then automatically r^2 = -3 mod 4p), reduce (2p, r) by the
-    Euclidean algorithm until the remainder drops to at most 2*sqrt(p),
-    and read off x.  The reduction is proven to succeed for split p, so
-    a failure is a fault and raises RuntimeError.
+    F_p holds a cube root of unity u = g^((p-1)/3) != 1, and r = 2u + 1
+    has r^2 = -3 (mod p); made odd, r^2 = -3 (mod 4p).  One Cornacchia
+    reduction of (2p, r) gives 4p = x^2 + 3y^2 with x, y > 0, where
+    x + y*sqrt(-3) = 2*mu for some mu of norm p with arg in (0, pi/2).
+    x > 3y means arg mu in (0, pi/6); otherwise mu turned by -pi/3, and
+    conjugated if that lands below 0, is there.  Then pi = ((x - y)/2, y).
+    The root step is also a Fermat test: a composite p whose u is no cube
+    root of unity is rejected with ValueError.  The reduction is proven
+    to succeed for prime p, so a failure there raises RuntimeError.
     """
-    r = _sqrt_mod(p - 3, p)
+    if classify_prime(p) is not PrimeClass.SPLIT:
+        raise ValueError(f"{p} is not split (p mod 3 = {p % 3})")
+    for g in range(2, 1 << 16):
+        u = pow(g, (p - 1) // 3, p)
+        if u != 1:
+            break
+    else:
+        raise RuntimeError(f"no cube root of unity other than 1 found mod {p}")
+    r = (2 * u + 1) % p
+    if r * r % p != p - 3:
+        raise ValueError(f"{p} is not prime: {g}^((p-1)/3) is not a cube root of unity mod p")
     if r % 2 == 0:
         r = p - r
     a, b = 2 * p, r
     limit = math.isqrt(4 * p)
     while b > limit:
         a, b = b, a % b
-    x = b
-    rem = 4 * p - x * x
-    if rem % 3 == 0:
-        y = math.isqrt(rem // 3)
-        if 3 * y * y == rem and (x - y) % 2 == 0:
-            cand = EisensteinInt((x - y) // 2, y)
-            if cand.norm() == p:
-                return cand
-    raise RuntimeError(f"Cornacchia reduction failed for split prime {p}")
-
-
-PI3 = EisensteinInt(2, -1)  # canonical associate of 1 + w; 3 = w * PI3^2
-
-
-@functools.lru_cache(maxsize=1 << 12)
-def split_prime_generator(p: int) -> PrimeSplitRecord:
-    """Record for split p: generator pi with theta_p in (0, pi/6).
-
-    Unique: of the twelve elements of norm p, exactly one lies in the
-    open sector (0, pi/6).
-    """
-    if classify_prime(p) is not PrimeClass.SPLIT:
-        raise ValueError(f"{p} is not split (p mod 3 = {p % 3})")
-    z, _ = canonical_associate(_represent_prime(p))
-    if z.b < 0:
-        z = eis_conj(z)
-        z, _ = canonical_associate(z)
-    if not (z.b > 0 and z.norm() == p):
+    x, y = b, math.isqrt((4 * p - b * b) // 3)
+    if x * x + 3 * y * y != 4 * p:
+        raise RuntimeError(f"Cornacchia reduction failed for split prime {p}")
+    if 3 * y > x:  # arg in (pi/6, pi/2): turn by -pi/3, and mirror if that lands below 0
+        x, y = (x + 3 * y) // 2, abs(x - y) // 2
+    z = EisensteinInt((x - y) // 2, y)
+    if not (0 < 3 * y < x and z.norm() == p):
         raise RuntimeError(f"generator {z} of {p} is not in the open sector (0, pi/6)")
     theta = z.arg()
     return PrimeSplitRecord(p, PrimeClass.SPLIT, z, theta, theta)

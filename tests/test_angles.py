@@ -13,7 +13,6 @@ from eisen.angles import (
     SectorQuery,
     bad_circle,
     chi_prime_sum,
-    chi_prime_sum_decomposition,
     prime_ideals_up_to,
     sector_count,
     split_prime_reciprocal_sum,
@@ -61,7 +60,7 @@ def test_nan_x_is_rejected_before_any_table(monkeypatch):
     _no_tables(monkeypatch)
     before = angles._kept_index.cache_info()
     calls = (theta_equidistribution_stat, prime_ideals_up_to, angles._angle_index,
-             lambda x: chi_prime_sum(x, 1), lambda x: chi_prime_sum_decomposition(x, 1))
+             lambda x: chi_prime_sum(x, 1), lambda x: chi_prime_sum(x, -1))
     for call in calls:
         with pytest.raises(ValueError, match="x is NaN"):
             call(math.nan)
@@ -183,7 +182,7 @@ def test_chi_prime_sum_rejects_trivial_character():
     with pytest.raises(ValueError):
         chi_prime_sum(100, 0)
     with pytest.raises(ValueError):
-        chi_prime_sum_decomposition(100, 0)
+        chi_prime_sum(1, 0)  # rejected even where every part is empty
 
 
 def test_chi_decomposition_matches():
@@ -191,8 +190,8 @@ def test_chi_decomposition_matches():
     for x in (50, 1000, 10**4):
         for a in (1, 2, 3, -1):
             whole = chi_sum_by_ideals(x, a)
-            parts = chi_prime_sum_decomposition(x, a)
-            assert chi_prime_sum(x, a).value == parts and parts.imag == 0.0
+            parts = chi_prime_sum(x, a).value
+            assert parts.imag == 0.0
             assert abs(whole - parts) < 1e-8 * max(1.0, abs(whole))
 
 
@@ -200,9 +199,9 @@ def test_chi_sums_agree_where_no_ideal_is_counted():
     # both sums are 0 below the first ideal norm 2, whatever the x there
     for x in (-5, -math.inf, 0, 1, 1.99):
         for a in (1, -2):
-            assert chi_prime_sum(x, a).value == chi_prime_sum_decomposition(x, a) == 0j, (x, a)
+            assert chi_prime_sum(x, a).value == 0j, (x, a)
     with pytest.raises(ValueError, match="NaN"):
-        chi_prime_sum_decomposition(math.nan, 1)
+        chi_prime_sum(math.nan, 1)
 
 
 def test_split_prime_reciprocal_sum_rejects_nan_with_a_reason():

@@ -228,6 +228,23 @@ def test_rejected_arguments_exit_2(capsys):
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize("command, plain, spelled, code", [
+    ("sector 1000 {} 0.1", "-0.00001", "-1e-05", 0),
+    ("sector 1000 -0.2 {}", "-0.1", "-1E-1", 0),
+    ("lfunc 2 {} 0", "-0.00001", "-1e-05", 0),
+    ("lfunc 3 {} 1", "-25.0", "-2.5e+01", 0),
+    ("lfunc 3 {} 1", "-5", "-.5e1", 0),
+    ("bad-circle {} 12", "-0.0001", "-1e-4", 2),  # rejected by the command, not by argparse
+])
+def test_negative_positional_in_exponent_form(capsys, command, plain, spelled, code):
+    # argparse's own negative-number pattern has no exponent: -1e-05 was read as an option
+    assert run(command.format(plain).split()) == code
+    want = capsys.readouterr()
+    assert run(command.format(spelled).split()) == code
+    assert capsys.readouterr() == want
+    assert want.err.startswith("error:") if code else want.out.startswith('{"command"')
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
 @pytest.mark.parametrize("argv", [["theta", "1.5", "1"], ["theta-check", "1.5", "1"],
                                   ["lfunc", "2", "0", "1"], ["xi-check", "3", "7", "1"]])
@@ -366,9 +383,11 @@ def test_circle_commands_exit_0_with_records_or_2_with_a_reason(command, n, A):
         assert abs(recs[0]["result"]["delta"] - _full_circle_delta(angles)) <= 1e-12
 
 
-def _num(v: float) -> str:
-    """v as an argument argparse reads as a number: a negative one without an exponent."""
-    return np.format_float_positional(v, trim="-") if v < 0 else repr(v)
+def _num(v: float, spelling: str) -> str:
+    """v as an argument: its repr, positional (no exponent) or exponent notation."""
+    if spelling == "positional":
+        return np.format_float_positional(v, trim="-")
+    return f"{v:e}" if spelling == "exponent" else repr(v)
 
 
 def _ints(lo, hi):
@@ -376,7 +395,8 @@ def _ints(lo, hi):
 
 
 def _floats(lo, hi):
-    return (st.floats(min_value=lo, max_value=hi) | st.sampled_from((math.nan, math.inf))).map(_num)
+    values = st.floats(min_value=lo, max_value=hi) | st.sampled_from((math.nan, math.inf))
+    return st.tuples(values, st.sampled_from(("repr", "positional", "exponent"))).map(lambda vs: _num(*vs))
 
 
 def _opt(flag, values):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -139,9 +140,21 @@ def test_split_prime_generator_large():
 
 
 def test_cornacchia_reduction_on_every_split_prime_below_1e6():
-    for p in primes_up_to(10**6).tolist():
-        if p % 3 == 1:
-            assert factor._represent_prime(p).norm() == p, p
+    # the reference is the one half-sector point a > b >= 1 of each split
+    # prime norm, read off the enumerator, which knows nothing of Cornacchia
+    x = 10**6
+    prime = np.zeros(x + 1, dtype=bool)
+    prime[primes_up_to(x)] = True
+    want = {}
+    for a, b, n in iter_lattice_blocks(x):
+        keep = (b >= 1) & (a > b) & prime[n] & (n % 3 == 1)
+        for p, pa, pb in zip(n[keep].tolist(), a[keep].tolist(), b[keep].tolist()):
+            assert p not in want, p
+            want[p] = (pa, pb)
+    assert len(want) == 39231
+    for p, ab in want.items():
+        pi = split_prime_generator.__wrapped__(p).pi  # leaves the memo as it is
+        assert (pi.a, pi.b) == ab, p
 
 
 def test_cornacchia_reduction_on_20_digit_split_primes():
@@ -155,7 +168,8 @@ def test_cornacchia_reduction_on_20_digit_split_primes():
                 k += 1
             p += step
     for p in found:
-        assert factor._represent_prime(p).norm() == p, p
+        pi = split_prime_generator(p).pi
+        assert pi.norm() == p and pi.a > pi.b >= 1, p
 
 
 def test_prime_record_all_classes():
@@ -450,6 +464,20 @@ def test_is_prime_rejects_psi12():
 @pytest.mark.xfail(strict=True, reason="strong pseudoprime to bases 2..37; is_prime accepts it")
 def test_is_prime_rejects_psi13():
     assert is_prime(PSI_13) is False
+
+
+@pytest.mark.parametrize("psi", [PSI_12, PSI_13])
+def test_split_prime_generator_rejects_psi12_and_psi13(capsys, psi):
+    # is_prime accepts both (the strict xfails above); the cube-root step is a Fermat test they fail
+    start = time.perf_counter()
+    for f in (split_prime_generator, factor_eisenstein, circle_points):
+        with pytest.raises(ValueError, match="not prime"):
+            f(psi)
+    assert time.perf_counter() - start < 1.0
+    for command in ("factor", "points"):
+        assert cli.run([command, str(psi)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not prime" in captured.err and captured.out == ""
 
 
 def test_table_cache_slices_to_a_fresh_build(monkeypatch):
