@@ -234,6 +234,8 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
     points against mpmath).  |G| decays like e^{-pi |Im s| / 2}, so xi is
     skipped where its roundoff floor over |G|, estimated beforehand, passes
     tol.  Where xi misses tol the lattice sum runs; the smaller bound wins.
+    Where that still misses tol and xi was skipped, xi runs to its own floor
+    and the smaller bound wins, so a tighter tol never gives a worse answer.
     """
     s = _check_finite(s)
     if s.real < 1.1:
@@ -246,9 +248,15 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
         raise ValueError("finite tol > 0 required")
     aa = abs(a)  # the coefficients S(n, 6a) are even in a
     via_xi = (0j, math.inf)
+    xi_floor = None  # set where the floor skips xi
     if abs(s) <= 50:
         G = (math.sqrt(3.0) / (2.0 * math.pi)) ** s * complex_gamma(s + 3 * aa)
         scale = C_THETA ** (3 * aa) / 6.0 / abs(G)  # the integral's units to L's
+
+        def by_xi(xi_tol: float) -> tuple[complex, float]:
+            xi, bound = _xi_integral(s, aa, xi_tol)
+            return xi / G, bound / abs(G) + 1e-14 * abs(s + 3 * aa) * abs(xi / G)
+
         # the floor is 1e-13 int_1^inf |f|, and |f| <= 6 sum_n n^{3a} e^{-cnv} (v^q + v^q') over the sector,
         # q = max(p, 0) for p in {sigma + 3a - 1, 3a - sigma}; shell by shell, int_1^inf e^{-cnv} v^q dv is
         # at most Gamma(q+1)/(cn)^{q+1}, or e^{-cn}/(cn - q) where cn > q, as (1+u)^q <= e^{qu}
@@ -261,9 +269,15 @@ def l_dirichlet_with_error(s: complex, a: int, tol: float = 1e-9) -> tuple[compl
                 parts.append(min(gam, math.exp(lw - cn) / (cn - q)) if cn > q else gam)
         floor = 6e-13 * math.fsum(parts)
         if floor * scale + 1e-14 * abs(s + 3 * aa) <= tol:
-            xi, bound = _xi_integral(s, aa, 1e-3 * tol / scale)  # the last digits cost little more
-            via_xi = xi / G, bound / abs(G) + 1e-14 * abs(s + 3 * aa) * abs(xi / G)
-    return via_xi if via_xi[1] <= tol else min(via_xi, _l_lattice(s, aa, tol), key=lambda r: r[1])
+            via_xi = by_xi(1e-3 * tol / scale)  # the last digits cost little more
+        else:
+            xi_floor = floor
+    if via_xi[1] <= tol:
+        return via_xi
+    best = min(via_xi, _l_lattice(s, aa, tol), key=lambda r: r[1])
+    if best[1] > tol and xi_floor is not None:
+        best = min(best, by_xi(xi_floor), key=lambda r: r[1])
+    return best
 
 
 def _l_lattice(s: complex, a: int, tol: float) -> tuple[complex, float]:

@@ -225,14 +225,6 @@ def _equi_stat(x: float) -> tuple[float, int]:
     return float(d), n
 
 
-def split_prime_reciprocal_sum(x: float) -> float:
-    """sum of 1/p over split primes p <= x (Mertens in the progression
-    1 mod 3: this is (1/2) log log x + O(1))."""
-    import numpy as np
-    p_arr, _ = factor.split_prime_angles(_norm_bound(x))
-    return float(np.sum(1.0 / p_arr))
-
-
 class BadCircle(NamedTuple):
     n: int
     primes: tuple[int, ...]

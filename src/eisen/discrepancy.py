@@ -137,27 +137,24 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
     return C * total
 
 
-def representable_sieve(x: int) -> np.ndarray:
-    """Boolean table t[0..x]: t[n] iff r_Q(n) > 0, i.e. iff n is the norm of
-    a lattice point.  A circle's points are closed under the six units and
-    conjugation, so every populated circle has a point in the half sector
-    0 <= arg <= pi/6 (its ray a = b carries the norms 3b^2 of the -pi/6
-    ray), and the table marks the norms that factor.iter_lattice_blocks(x)
-    yields."""
-    if x < 1:
-        raise ValueError("x >= 1")
-    ok = np.zeros(x + 1, dtype=bool)
-    for block in factor.iter_lattice_blocks(x):
-        ok[block[2]] = True
-        del block  # not kept alive while the next block is built
-    return ok
-
-
 def b_q(x: int) -> int:
-    """Number of populated circles |mu|^2 = n with 1 <= n <= x."""
+    """Number of populated circles |mu|^2 = n with 1 <= n <= x.
+
+    A circle's points are closed under the six units and conjugation, so
+    every populated circle has a point in the half sector 0 <= arg <= pi/6
+    that factor.iter_lattice_blocks(x) walks.  Its bands are disjoint in
+    norm and each holds at most _BAND_NORMS norms, so the count is the sum
+    over bands of the distinct norms in each, marked in one band-long table."""
     if x > 10**7:
         raise ValueError("census capped at x = 1e7")
-    return int(np.count_nonzero(representable_sieve(x)))
+    if x < 1:
+        raise ValueError("x >= 1")
+    count = 0
+    for _, _, n in factor.iter_lattice_blocks(x):
+        seen = np.zeros(factor._BAND_NORMS, dtype=bool)
+        seen[n - n.min()] = True
+        count += int(np.count_nonzero(seen))
+    return count
 
 
 class SurveyReport(NamedTuple):

@@ -129,19 +129,6 @@ def _band_cos_sums(x: int, A: int) -> Iterator[tuple[int, np.ndarray]]:
         yield n0, np.bincount(n - n0, weights=w)
 
 
-def _checkpoint_means(abs_s: np.ndarray, checkpoints: list[int]) -> list[tuple[int, float]]:
-    import numpy as np
-    # extended-precision running total over the segments between checkpoints
-    means = []
-    total = np.longdouble(0.0)
-    prev = 1
-    for cp in checkpoints:
-        total = total + np.sum(abs_s[prev : cp + 1], dtype=np.longdouble)
-        prev = cp + 1
-        means.append((cp, float(total / cp)))
-    return means
-
-
 def avg_exp_sum(
     x: int, A: int, checkpoints: list[int] | None = None, threads: int = 1
 ) -> AverageDecayReport:
@@ -167,8 +154,21 @@ def avg_exp_sum(
     if A % 6 != 0:
         means = [(cp, 0.0) for cp in cps]
         return AverageDecayReport(A, tuple(means), float("nan"))
-    s_re, _ = circle_sums(cps[-1], A)  # S_im is exactly zero
-    means = _checkpoint_means(np.abs(s_re, out=s_re), cps)
+    # |S(n, A)| = 6|c| band by band, summed in extended precision over
+    # the segments (cp', cp] between checkpoints
+    means = []
+    total = np.longdouble(0.0)
+    i = 0
+    for n0, c in _band_cos_sums(cps[-1], A):
+        abs_s = 6.0 * np.abs(c)
+        j = 0
+        while i < len(cps) and cps[i] < n0 + abs_s.size:
+            k = max(cps[i] + 1 - n0, 0)
+            total += np.sum(abs_s[j:k], dtype=np.longdouble)
+            means.append((cps[i], float(total / cps[i])))
+            i, j = i + 1, k
+        total += np.sum(abs_s[j:], dtype=np.longdouble)
+    means += [(cp, float(total / cp)) for cp in cps[i:]]
     pts = [(math.log(math.log(cp)), math.log(m)) for cp, m in means if cp >= 1000 and m > 0]
     if len(pts) >= 2:
         xs = np.array([p[0] for p in pts])
@@ -177,28 +177,3 @@ def avg_exp_sum(
     else:
         slope = float("nan")
     return AverageDecayReport(A, tuple(means), slope)
-
-
-def katai_bound_diag(x: int, A: int) -> tuple[float, float]:
-    """Diagnostic pair (lhs, rhs) for the multiplicative-average bound:
-
-        lhs = sum_{n<=x} f_A(n)
-        rhs = (x / log x) * exp( sum_{p<=x} f_A(p) / p )
-
-    The interesting quantity is the ratio lhs/rhs, which should stay of
-    bounded order as x grows.
-    """
-    import numpy as np
-    if x < 16:
-        raise ValueError("x >= 16 required")
-    if A == 0 or A % 6 != 0:
-        raise ValueError("katai diagnostic needs A a nonzero multiple of 6")
-    a = A // 6
-    s_re, _ = circle_sums(x, A)  # S_im is exactly zero
-    lhs = float(np.sum(np.abs(s_re, out=s_re), dtype=np.longdouble) / 6.0)
-    p_arr, t_arr = factor.split_prime_angles(x)
-    prime_sum = float(np.sum(2.0 * np.abs(np.cos(6.0 * a * t_arr)) / p_arr))
-    if x >= 3:
-        prime_sum += 1.0 / 3.0  # f_A(3) = 1
-    rhs = x / math.log(x) * math.exp(prime_sum)
-    return lhs, rhs

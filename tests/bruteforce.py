@@ -1,14 +1,17 @@
 """Reference implementations shared by the tests: the integer-square-root
 oracle for circle point sets, the unsorted prime-ideal angles with the
-KS statistic over their full sort, and the ideal-by-ideal character sum."""
+KS statistic over their full sort, the ideal-by-ideal character sum, the
+full-length table of populated circles, the checkpoint means over the
+circle_sums table, and two diagnostics of the averages over primes."""
 
 import cmath
 import math
 
 import numpy as np
 
-from eisen import angles
+from eisen import angles, factor
 from eisen.core import EisensteinInt
+from eisen.expsum import circle_sums
 from eisen.factor import CirclePointSet
 
 
@@ -58,3 +61,59 @@ def equi_stat_by_sort(x: float) -> tuple[float, int]:
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)
     return float(max(d_plus, d_minus)), n
+
+
+def representable_sieve(x: int) -> np.ndarray:
+    """Boolean table t[0..x]: t[n] iff r_Q(n) > 0, i.e. iff n is the norm of
+    a lattice point.  Every populated circle has a point in the half sector
+    that factor.iter_lattice_blocks(x) walks, so the table marks its norms."""
+    if x < 1:
+        raise ValueError("x >= 1")
+    ok = np.zeros(x + 1, dtype=bool)
+    for _, _, n in factor.iter_lattice_blocks(x):
+        ok[n] = True
+    return ok
+
+
+def checkpoint_means_by_table(A: int, checkpoints: list[int]) -> list[tuple[int, float]]:
+    """(x', (1/x') sum_{n<=x'} |S(n, A)|) at each sorted checkpoint, summed in
+    extended precision over the segments of the whole circle_sums table."""
+    s_re, _ = circle_sums(checkpoints[-1], A)  # S_im is exactly zero
+    abs_s = np.abs(s_re)
+    means = []
+    total = np.longdouble(0.0)
+    prev = 1
+    for cp in checkpoints:
+        total = total + np.sum(abs_s[prev : cp + 1], dtype=np.longdouble)
+        prev = cp + 1
+        means.append((cp, float(total / cp)))
+    return means
+
+
+def katai_bound_diag(x: int, A: int) -> tuple[float, float]:
+    """Diagnostic pair (lhs, rhs) for the multiplicative-average bound:
+
+        lhs = sum_{n<=x} f_A(n)
+        rhs = (x / log x) * exp( sum_{p<=x} f_A(p) / p )
+
+    The interesting quantity is the ratio lhs/rhs, which should stay of
+    bounded order as x grows.
+    """
+    if x < 16:
+        raise ValueError("x >= 16 required")
+    if A == 0 or A % 6 != 0:
+        raise ValueError("katai diagnostic needs A a nonzero multiple of 6")
+    s_re, _ = circle_sums(x, A)  # S_im is exactly zero
+    lhs = float(np.sum(np.abs(s_re), dtype=np.longdouble) / 6.0)
+    p_arr, t_arr = factor.split_prime_angles(x)
+    prime_sum = float(np.sum(2.0 * np.abs(np.cos(6.0 * (A // 6) * t_arr)) / p_arr))
+    prime_sum += 1.0 / 3.0  # f_A(3) = 1
+    rhs = x / math.log(x) * math.exp(prime_sum)
+    return lhs, rhs
+
+
+def split_prime_reciprocal_sum(x: float) -> float:
+    """sum of 1/p over split primes p <= x (Mertens in the progression
+    1 mod 3: this is (1/2) log log x + O(1))."""
+    p_arr, _ = factor.split_prime_angles(angles._norm_bound(x))
+    return float(np.sum(1.0 / p_arr))

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from bruteforce import chi_sum_by_ideals, circle_points_bruteforce
+from bruteforce import chi_sum_by_ideals, circle_points_bruteforce, representable_sieve
 from eisen import analytic, angles, discrepancy, expsum, factor
 from eisen.core import UNITS, EisensteinInt
 
@@ -163,7 +163,7 @@ def test_criterion_11_dedekind_zeta_value():
 def test_criterion_12_discrepancy_and_erdos_turan():
     d1 = discrepancy.discrepancy_exact(1).delta
     assert abs(d1 - 1.0 / 6.0) < 1e-15
-    ok = discrepancy.representable_sieve(2000)
+    ok = representable_sieve(2000)
     margin = math.inf
     arg = None
     for n in range(1, 2001):

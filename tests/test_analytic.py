@@ -419,6 +419,15 @@ def _dedekind_zeta_by_hurwitz(s: complex) -> complex:
         return complex(mpmath.zeta(z) * 3 ** (-z) * (mpmath.zeta(z, third) - mpmath.zeta(z, 2 * third)))
 
 
+def test_l_tighter_tol_is_no_worse():
+    # no route meets tol 1e-300 and xi's floor is above it, so xi runs to its
+    # own floor and its bound must beat the lattice sum's 6.0e-5, as at tol 1e-9
+    want = _dedekind_zeta_by_hurwitz(1.1 + 0j)
+    _, loose = l_dirichlet_with_error(1.1, 0, 1e-9)
+    val, err = l_dirichlet_with_error(1.1, 0, 1e-300)
+    assert abs(val - want) <= err <= loose
+
+
 def test_l_error_estimate_audit_at_large_im_s():
     # seeded draws over the range where the lattice route's roundoff dominates
     rng = random.Random(23)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from bruteforce import chi_sum_by_ideals, equi_stat_by_sort, ideal_angles
+from bruteforce import chi_sum_by_ideals, equi_stat_by_sort, ideal_angles, split_prime_reciprocal_sum
 
 from eisen import angles, factor
 from eisen.angles import (
@@ -15,7 +15,6 @@ from eisen.angles import (
     chi_prime_sum,
     prime_ideals_up_to,
     sector_count,
-    split_prime_reciprocal_sum,
     theta_equidistribution_stat,
 )
 from eisen.core import EisensteinInt

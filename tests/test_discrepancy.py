@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from bruteforce import representable_sieve
 from hypothesis import given, settings, strategies as st
 
-from eisen import discrepancy
+from eisen import discrepancy, factor
 from eisen.discrepancy import (
     GAMMA_MAX,
     b_q,
@@ -20,7 +21,6 @@ from eisen.discrepancy import (
     discrepancy_random_lower_bound,
     discrepancy_survey,
     erdos_turan_bound,
-    representable_sieve,
 )
 from eisen.factor import circle_points, r_q
 
@@ -176,6 +176,19 @@ def test_erdos_turan_validation():
         erdos_turan_bound(2, 6)
 
 
+def test_discrepancy_chain_on_every_rich_circle_below_2e5():
+    # random arcs <= exact sweep <= Erdos-Turan with Montgomery's proven C = 3,
+    # on every circle n < 2e5 with r_Q(n) >= 60
+    n, m, _ = discrepancy._survey_circles(2 * 10**5 - 1)
+    rich = n[m >= 10].tolist()
+    assert len(rich) == 187
+    for k in rich:
+        delta = discrepancy_exact(k).delta
+        assert discrepancy_random_lower_bound(k) <= delta, k
+        for T in (6, 30, 120):
+            assert delta <= erdos_turan_bound(k, T, C=3.0), (k, T)
+
+
 def test_representable_sieve_matches_r_q():
     ok = representable_sieve(500)
     assert not ok[0]
@@ -190,18 +203,28 @@ def test_census_counts():
     with pytest.raises(ValueError):
         b_q(10**7 + 1)
     with pytest.raises(ValueError):
-        representable_sieve(0)
+        b_q(0)
 
 
-def test_representable_sieve_holds_one_band_at_a_time():
-    # the 2 MB table plus one band's transients
+def test_b_q_holds_one_band_at_a_time():
+    # traced 3.3 MB: one band's blocks and its table of marks; the x + 1
+    # table of bools it replaces took 10 MB alone (11.6 MB traced)
     tracemalloc.start()
     try:
-        representable_sieve(2 * 10**6)
+        b_q(10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_b_q_on_band_seams():
+    # x from six norms below to six past the end of each of the first three
+    # bands, the populated norms among them included
+    B = factor._BAND_NORMS
+    below = np.cumsum(representable_sieve(3 * B + 6))
+    for x in (k * B + d for k in (1, 2, 3) for d in range(-6, 7)):
+        assert b_q(x) == below[x], x
 
 
 def test_census_frozen_powers_of_ten():
@@ -221,12 +244,15 @@ def test_representable_sieve_on_power_boundaries():
             ok = representable_sieve(x)
             assert ok.shape == (x + 1,)
             assert np.array_equal(ok, _POPULATED[: x + 1]), (q, x)
+            assert b_q(x) == int(np.count_nonzero(ok)), (q, x)
 
 
 @given(st.integers(min_value=1, max_value=3000))
 @settings(max_examples=100, deadline=None)
 def test_representable_sieve_prefix_of_r_q(x):
-    assert np.array_equal(representable_sieve(x), _POPULATED[: x + 1])
+    ok = representable_sieve(x)
+    assert np.array_equal(ok, _POPULATED[: x + 1])
+    assert b_q(x) == int(np.count_nonzero(ok))
 
 
 def test_survey_against_direct_count():

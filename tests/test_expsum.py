@@ -1,9 +1,11 @@
 """Exponential sums: vanishing, the product form, multiplicativity, decay."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from bruteforce import checkpoint_means_by_table, katai_bound_diag
 from hypothesis import given, settings, strategies as st
 
 from eisen import factor
@@ -13,7 +15,6 @@ from eisen.expsum import (
     exp_sum,
     exp_sum_product,
     f_A,
-    katai_bound_diag,
 )
 from eisen.factor import r_q, split_prime_generator
 
@@ -125,6 +126,29 @@ def test_avg_exp_sum_checkpoints_and_slope():
     # values pinned from the exact bucket sums (regression guard)
     assert abs(means[0] - 1.7874311963457937) < 1e-9
     assert abs(means[2] - 1.4597324563613931) < 1e-9
+
+
+def test_avg_exp_sum_means_on_band_seams_are_the_table_means():
+    # checkpoints one norm below, at and past the end of each of the first
+    # three bands, where a segment between checkpoints is split over bands
+    B = factor._BAND_NORMS
+    cps = [1, 2, 1000, *(k * B + d for k in (1, 2, 3) for d in (-1, 0, 1))]
+    for A in (6, 12, -18):
+        rep = avg_exp_sum(cps[-1], A, checkpoints=cps)
+        want = checkpoint_means_by_table(A, cps)
+        assert [(cp, m.hex()) for cp, m in rep.checkpoints] == [(cp, m.hex()) for cp, m in want], A
+
+
+def test_avg_exp_sum_holds_one_band_at_a_time():
+    # traced 7.5 MB: one band's weighted cosine sums; the two x + 1 arrays
+    # of circle_sums it replaces took 32 MB (36.3 MB traced)
+    tracemalloc.start()
+    try:
+        avg_exp_sum(2 * 10**6, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_avg_exp_sum_nondivisible_A_is_exactly_zero():
