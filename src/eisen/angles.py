@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import factor
@@ -70,23 +71,23 @@ def _ideal_parts(x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarr
     return p_arr, t_arr, other_n, other_t
 
 
-def _angle_index(x: float) -> tuple[np.ndarray, int, float]:
-    """(theta_p of the split primes p <= x ascending, the number of inert
-    ideals of norm <= x, Li(x)): what sector_count and _equi_stat read.
-    For x <= factor._CACHE_MAX the index of the last x asked is kept, as
-    the split-prime table is; above it nothing is kept, so the call's own
-    table is sorted in place."""
-    return _kept_index(x) if _norm_bound(x) <= factor._CACHE_MAX else _build_index(x)
+def _angle_index(x: float) -> tuple[memoryview, int, float]:
+    """(theta_p of the split primes p <= x ascending in a read-only float64
+    memoryview, the number of inert ideals of norm <= x, Li(x)): what
+    sector_count and _equi_stat read.  Where floor(x) <= factor._CACHE_MAX
+    the index of the last x asked is kept, as the split-prime table is;
+    above it (and for NaN, which _build_index rejects) nothing is kept."""
+    return _kept_index(x) if x < factor._CACHE_MAX + 1 else _build_index(x)
 
 
-def _build_index(x: float) -> tuple[np.ndarray, int, float]:
-    xi = math.floor(x)
+def _build_index(x: float) -> tuple[memoryview, int, float]:
+    xi = _norm_bound(x)
     _, thetas = factor.split_prime_angles(xi)
     if xi <= factor._CACHE_MAX:
         thetas = thetas.copy()  # a slice of the kept split-prime table
     thetas.sort()
     thetas.flags.writeable = False  # a kept index is shared by every caller at its x
-    return thetas, len(_inert_primes(xi)), li(x)
+    return memoryview(thetas), len(_inert_primes(xi)), li(x)
 
 
 _kept_index = functools.lru_cache(maxsize=1)(_build_index)
@@ -141,24 +142,29 @@ def sector_count(q: SectorQuery) -> tuple[int, float]:
     Prime Ideal Theorem main term (3/pi)(phi2 - phi1) Li(x).
 
     The interval is closed; a 1e-12 outward tolerance absorbs
-    floating-point ties at the endpoints.  Two binary searches in the
-    angle index of x: theta_p in [phi1 - eps, phi2 + eps] for the ideals
+    floating-point ties at the endpoints.  Binary searches in the angle
+    index of x: theta_p in [phi1 - eps, phi2 + eps] for the ideals
     at +theta_p, and theta_p in [-(phi2 + eps), -(phi1 - eps)] for those
     at -theta_p (negation is exact, so this is the same >=/<= test on
-    -theta_p); then the inert ideals when 0 is in the interval and the
-    ramified one when -pi/6 is.
+    -theta_p).  Every theta_p lies in (0, pi/6), so a bound <= 0 has no
+    theta_p at or below it and its search is skipped: an interval that
+    spans 0 takes two searches.  Then the inert ideals when 0 is in the
+    interval and the ramified one when -pi/6 is.
     """
-    thetas, inert, li_x = _angle_index(q.x)
+    x, phi1, phi2 = q
+    thetas, inert, li_x = _angle_index(x)
     eps = 1e-12
-    lo, hi = q.phi1 - eps, q.phi2 + eps
-    below = thetas.searchsorted((lo, -hi), "left")  # theta_p < lo, theta_p < -hi
-    upto = thetas.searchsorted((hi, -lo), "right")  # theta_p <= hi, theta_p <= -lo
-    observed = int((upto - below).sum())
+    lo, hi = phi1 - eps, phi2 + eps
+    observed = 0
+    if hi > 0:  # theta_p in [lo, hi]
+        observed += bisect_right(thetas, hi) - (bisect_left(thetas, lo) if lo > 0 else 0)
+    if lo < 0:  # theta_p in [-hi, -lo]
+        observed += bisect_right(thetas, -lo) - (bisect_left(thetas, -hi) if hi < 0 else 0)
     if lo <= 0.0 <= hi:
         observed += inert
-    if lo <= -PI_6 <= hi and q.x >= 3:
+    if lo <= -PI_6 <= hi and x >= 3:
         observed += 1
-    expected = 3.0 / math.pi * (q.phi2 - q.phi1) * li_x
+    expected = 3.0 / math.pi * (phi2 - phi1) * li_x
     return observed, expected
 
 
@@ -214,6 +220,7 @@ def _equi_stat(x: float) -> tuple[float, int]:
         raise ValueError("x >= 100 required")
     import numpy as np
     thetas, inert, _ = _angle_index(x)
+    thetas = np.asarray(thetas)  # the index's own buffer, not a copy
     n = 1 + 2 * len(thetas) + inert
     d, i = 0.0, 0
     for sign, run in ((1, np.array([-PI_6])), (-1, thetas[::-1]), (1, np.zeros(inert)), (1, thetas)):

@@ -1,7 +1,8 @@
 """Reference implementations shared by the tests: the integer-square-root
 oracle for circle point sets, the unsorted prime-ideal angles with the
-KS statistic over their full sort, the ideal-by-ideal character sum, the
-full-length table of populated circles, the checkpoint means over the
+KS statistic over their full sort, the sector count by numpy's
+searchsorted, the ideal-by-ideal character sum, the full-length table of
+populated circles, the checkpoint means over the
 circle_sums table, and two diagnostics of the averages over primes."""
 
 import cmath
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from eisen import angles, factor
+from eisen.analytic import li
 from eisen.core import EisensteinInt
 from eisen.expsum import circle_sums
 from eisen.factor import CirclePointSet
@@ -45,6 +47,32 @@ def ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:
     q^2 <= x, and -pi/6 for the ramified prime when x >= 3."""
     p_arr, t_arr, other_n, other_t = angles._ideal_parts(x)
     return np.concatenate((p_arr, p_arr, other_n)), np.concatenate((t_arr, -t_arr, other_t))
+
+
+def angle_index_by_sort(x: float) -> tuple[np.ndarray, int, float]:
+    """(theta_p of the split primes p <= x in a fresh ascending array, the
+    number of inert ideals of norm <= x, Li(x)), built apart from the kept
+    angle index."""
+    xi = math.floor(x)
+    return np.sort(factor.split_prime_angles(xi)[1]), len(angles._inert_primes(xi)), li(x)
+
+
+def sector_count_by_searchsorted(q: angles.SectorQuery, index: tuple[np.ndarray, int, float]) -> tuple[int, float]:
+    """sector_count over an angle_index_by_sort index: theta_p in [lo, hi] and
+    in [-hi, -lo] by four searchsorted searches, whatever the signs of the
+    bounds, then the inert and ramified ideals."""
+    thetas, inert, li_x = index
+    eps = 1e-12
+    lo, hi = q.phi1 - eps, q.phi2 + eps
+    below = thetas.searchsorted((lo, -hi), "left")  # theta_p < lo, theta_p < -hi
+    upto = thetas.searchsorted((hi, -lo), "right")  # theta_p <= hi, theta_p <= -lo
+    observed = int((upto - below).sum())
+    if lo <= 0.0 <= hi:
+        observed += inert
+    if lo <= -angles.PI_6 <= hi and q.x >= 3:
+        observed += 1
+    expected = 3.0 / math.pi * (q.phi2 - q.phi1) * li_x
+    return observed, expected
 
 
 def chi_sum_by_ideals(x: float, a: int) -> complex:

@@ -213,6 +213,48 @@ def test_theta_error_estimate_bounds_true_error(t, a, want):
         assert val == theta(t, a, tol)
 
 
+def _theta_by_exact_weights(t: float, a: int):
+    """theta(t, a) = [a = 0] + sum over mu != 0 of Re(mu^{6a}) e^{-c t N(mu)}
+    in mpmath at 50 digits.  mu = x + y w is raised to 6a in Z[w] with integers
+    (w^2 = -1 - w; Re(u + v w) = u - v/2), the weights are summed norm by norm,
+    and the sum stops at the first n past 2(3a + 1)/(ct) where
+    12 n^{3a+1} e^{-ctn}, which bounds each later norm's terms and falls
+    geometrically from there, is below 1e-45."""
+    import mpmath
+    with mpmath.workdps(50):
+        ct = 2 * mpmath.pi / mpmath.sqrt(3) * mpmath.mpf(t)
+        n_max = int(2 * (3 * a + 1) / ct) + 1
+        while (3 * a + 1) * mpmath.log(n_max) + mpmath.log(12) - ct * n_max > mpmath.log(1e-45):
+            n_max += 1
+        twice_re = [0] * (n_max + 1)  # 2 Re mu^{6a} summed over the points of norm n
+        y_max = math.isqrt(4 * n_max // 3) + 1
+        for y in range(-y_max, y_max + 1):
+            for x in range(-2 * y_max, 2 * y_max + 1):
+                n = x * x - x * y + y * y  # N(x + y w)
+                if n == 0 or n > n_max:
+                    continue
+                u, v = 1, 0
+                for _ in range(6 * a):
+                    u, v = u * x - v * y, u * y + v * x - v * y
+                twice_re[n] += 2 * u - v
+        total = mpmath.mpf(a == 0)
+        for n in range(1, n_max + 1):
+            if twice_re[n]:
+                total += mpmath.mpf(twice_re[n]) / 2 * mpmath.exp(-ct * n)
+        return total
+
+
+def test_theta_error_estimate_audit_at_t_at_least_one():
+    # seeded draws past the frozen t < 1 grid: the emitted bound covers the
+    # true error against an exact-weight lattice sum
+    rng = random.Random(2005)
+    for _ in range(20):
+        t, a, tol = rng.uniform(1.0, 5.0), rng.randint(0, 6), rng.choice((1e-9, 1e-12, 1e-15))
+        val, err = analytic._theta_with_error(t, a, tol)
+        want = _theta_by_exact_weights(t, a)
+        assert abs(val - want) <= err, (t, a, tol, val, err)
+
+
 def test_unfolded_theta_keeps_the_mu_zero_term_at_one():
     # without the fold a t < 1 is summed directly, and the mu = 0 term is 1,
     # not the folded sum's t^{-1}; for a = 0 the terms do not cancel

@@ -5,7 +5,14 @@ import random
 
 import numpy as np
 import pytest
-from bruteforce import chi_sum_by_ideals, equi_stat_by_sort, ideal_angles, split_prime_reciprocal_sum
+from bruteforce import (
+    angle_index_by_sort,
+    chi_sum_by_ideals,
+    equi_stat_by_sort,
+    ideal_angles,
+    sector_count_by_searchsorted,
+    split_prime_reciprocal_sum,
+)
 
 from eisen import angles, factor
 from eisen.angles import (
@@ -162,6 +169,61 @@ def test_angle_index_is_rebuilt_when_x_changes(monkeypatch):
         assert angles._kept_index.cache_info().currsize == 1
         assert len(angles._kept_index(x)[0]) == len(factor.split_prime_angles(x)[0])
     assert factor._split_primes[0] == 4 * 10**6  # the last 1e6 was sliced from the kept 4e6 table
+
+
+def _seeded_queries(x, seed, count):
+    rng = random.Random(seed)
+    return [SectorQuery(x, *sorted(rng.uniform(-PI_6, PI_6) for _ in range(2))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("x", [7, 100, 12345, 10**6])
+def test_sector_count_bisects_equal_the_searchsorted_count(x):
+    # the warm path skips the searches whose answer the sign of a bound
+    # gives; numpy's four searches over a fresh sort are the reference
+    index = angle_index_by_sort(x)
+    for q in _seeded_queries(x, 2505 + x, 3000):
+        assert sector_count(q) == sector_count_by_searchsorted(q, index), q
+
+
+def test_sector_count_equals_the_searchsorted_count_at_the_seams():
+    # interval ends on +-theta_p, 1e-12 on either side of them, ends that the
+    # 1e-12 tolerance widens onto +-theta_p exactly, +-0.0 and -pi/6; at
+    # x = 2.5 no ideal exists and at x = 3 the ramified one at -pi/6 does
+    eps = 1e-12
+    thetas = angle_index_by_sort(12345)[0]
+    ends = [0.0, -0.0, -PI_6, math.nextafter(-PI_6, 0.0)]
+    for t in (*thetas[:3], *thetas[-2:]):
+        t = float(t)
+        for v in (t, -t):
+            ends += [v, v - eps, v + eps, _end_on(v, eps), _end_on(v, -eps)]
+    pairs = [(p1, p2) for p1 in ends for p2 in ends if -PI_6 <= p1 < p2 < PI_6]
+    for x in (2.5, 3, 7, 100, 12345):
+        index = angle_index_by_sort(x)
+        for phi1, phi2 in pairs:
+            q = SectorQuery(x, phi1, phi2)
+            assert sector_count(q) == sector_count_by_searchsorted(q, index), q
+
+
+def test_sector_count_keeps_the_index_of_an_x_whose_floor_is_the_cap():
+    # x in (4e6, 4e6 + 1) has the cap's ideals: its index is kept, not
+    # rebuilt on every call
+    x = factor._CACHE_MAX + 0.5
+    index = angle_index_by_sort(x)
+    first, second = _seeded_queries(x, 45, 2)
+    assert sector_count(first) == sector_count_by_searchsorted(first, index)
+    before = angles._kept_index.cache_info()
+    assert sector_count(second) == sector_count_by_searchsorted(second, index)
+    after = angles._kept_index.cache_info()
+    assert after.hits == before.hits + 1 and after.misses == before.misses
+
+
+def test_sector_count_above_the_cap_keeps_nothing():
+    x = 5 * 10**6
+    index = angle_index_by_sort(x)
+    before = angles._kept_index.cache_info()
+    for q in _seeded_queries(x, 46, 2):
+        assert sector_count(q) == sector_count_by_searchsorted(q, index), q
+    assert angles._kept_index.cache_info() == before
 
 
 @pytest.mark.parametrize("x", [100, 101, 12345, 10**5, 10**6])

@@ -20,8 +20,10 @@ SRC = Path(eisen.__file__).parent
 
 
 def test_no_assert_statements_in_package():
+    paths = sorted(SRC.glob("*.py"))
+    assert {"angles.py", "analytic.py", "cli.py", "factor.py"} <= {p.name for p in paths}  # the scan reads the package
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
