@@ -22,7 +22,7 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import factor
-from .factor import factor_int, split_prime_generator
+from .factor import factor_int
 
 if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
     import numpy as np
@@ -73,7 +73,7 @@ def exp_sum_product(n: int, A: int) -> complex:
             if e % 2 == 1:
                 return 0j
             continue
-        value *= _split_factor_signed(split_prime_generator(p).theta_p, e, a)
+        value *= _split_factor_signed(factor._split_record(p).theta_p, e, a)
     return complex(value)
 
 

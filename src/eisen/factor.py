@@ -137,17 +137,21 @@ def _pollard_rho(n: int) -> int:
 
 
 def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of a rational integer n >= 1."""
+    """Prime factorization of a rational integer n >= 1.  Trial division
+    by the primes below 2^16 proves any cofactor below 65521^2 prime;
+    is_prime and _pollard_rho see only a cofactor left after the table."""
     if n < 1:
         raise ValueError("factor_int needs n >= 1")
     out: dict[int, int] = {}
     for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
+        if p * p > n:  # no prime below p divides n, so n > 1 is prime
+            if n > 1:
+                out[n] = 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1:
+    if n > 1:  # a cofactor left after the whole table: Miller-Rabin, then rho
         stack = [n]
         while stack:
             m = stack.pop()
@@ -201,10 +205,20 @@ class PrimeSplitRecord(NamedTuple):
 PI3 = EisensteinInt(2, -1)  # canonical associate of 1 + w; 3 = w * PI3^2
 
 
-@functools.lru_cache(maxsize=1 << 12)
 def split_prime_generator(p: int) -> PrimeSplitRecord:
     """Record for split p: the generator pi = a + b*w with a > b >= 1, the
     one element of norm p with theta_p in the open sector (0, pi/6).
+    p is classified (and so tested for primality) here, then the record
+    comes from _split_record, which the factorization paths call directly
+    with the primes factor_int has already proven."""
+    if classify_prime(p) is not PrimeClass.SPLIT:
+        raise ValueError(f"{p} is not split (p mod 3 = {p % 3})")
+    return _split_record(p)
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _split_record(p: int) -> PrimeSplitRecord:
+    """split_prime_generator's record for a prime p = 1 (mod 3), memoized.
 
     F_p holds a cube root of unity u = g^((p-1)/3) != 1, and r = 2u + 1
     has r^2 = -3 (mod p); made odd, r^2 = -3 (mod 4p).  One Cornacchia
@@ -216,8 +230,6 @@ def split_prime_generator(p: int) -> PrimeSplitRecord:
     root of unity is rejected with ValueError.  The reduction is proven
     to succeed for prime p, so a failure there raises RuntimeError.
     """
-    if classify_prime(p) is not PrimeClass.SPLIT:
-        raise ValueError(f"{p} is not split (p mod 3 = {p % 3})")
     for g in range(2, 1 << 16):
         u = pow(g, (p - 1) // 3, p)
         if u != 1:
@@ -249,7 +261,7 @@ def prime_record(p: int) -> PrimeSplitRecord:
     """PrimeSplitRecord for any rational prime (all three classes)."""
     klass = classify_prime(p)
     if klass is PrimeClass.SPLIT:
-        return split_prime_generator(p)
+        return _split_record(p)
     if klass is PrimeClass.RAMIFIED:
         return PrimeSplitRecord(3, klass, PI3, math.pi / 6, -math.pi / 6)
     return PrimeSplitRecord(p, klass, None, 0.0, 0.0)
@@ -295,7 +307,7 @@ def factor_eisenstein(n: int) -> EisFactorization:
     for p in sorted(rational):
         e = rational[p]
         if p % 3 == 1:
-            split.append((split_prime_generator(p), e, e))
+            split.append((_split_record(p), e, e))
         else:
             inert.append((p, e))
     fac = EisFactorization(n, v3 % 6, 2 * v3, tuple(split), tuple(inert))
@@ -351,7 +363,7 @@ def _sector_points(n: int) -> list[tuple[int, int]]:
         if p == 3:
             continue
         if p % 3 == 1:
-            pi = split_prime_generator(p).pi
+            pi = _split_record(p).pi
             if pi is None:
                 raise RuntimeError(f"split prime {p} has no generator")
             expected *= e + 1

@@ -101,6 +101,13 @@ def test_sector_count_endpoints_closed():
     assert obs == 2  # theta_7 and theta_19
 
 
+def test_sector_count_end_one_tolerance_from_zero():
+    # phi1 = 1e-12 (or phi2 = -1e-12) puts the widened end exactly on 0.0, where
+    # the inert ideals 4 and 25 sit: 7 split ideals plus those 2 on either side
+    assert sector_count(SectorQuery(100, 1e-12, 0.3))[0] == 9
+    assert sector_count(SectorQuery(100, -0.3, -1e-12))[0] == 9
+
+
 def test_sector_ratio_near_one():
     for phi1, phi2 in ((-PI_6, 0.0), (0.0, 0.3), (-0.2, 0.25)):
         obs, exp = sector_count(SectorQuery(10**5, phi1, phi2))

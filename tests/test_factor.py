@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import circle_points_bruteforce
 from eisen import cli, factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
-from eisen.expsum import circle_sums
+from eisen.expsum import circle_sums, exp_sum, exp_sum_product
 from eisen.factor import (
     PI3,
     PrimeClass,
@@ -87,6 +87,58 @@ def test_factor_int_examples():
     assert factor_int(2**20) == {2: 20}
 
 
+def test_factor_int_past_the_trial_division_table():
+    # 65521 is the last table prime; a cofactor left after the table goes to
+    # Miller-Rabin and rho, whether it is a prime or a square of one
+    assert factor._SMALL_PRIMES[-1] == 65521
+    assert factor_int(65521**2) == {65521: 2}
+    assert factor_int(65521 * 65537) == {65521: 1, 65537: 1}
+    assert factor_int(65537**2) == {65537: 2}
+    assert factor_int(3 * 65537**2) == {3: 1, 65537: 2}
+
+
+P_BELOW_TABLE = 4293001429  # the largest prime below 65521^2 (split)
+P_ABOVE_TABLE = 4293001477  # the first split prime above 65521^2
+
+
+def _counted_is_prime(monkeypatch):
+    calls = []
+    real = factor.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(factor, "is_prime", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cofactor, tested", [(P_BELOW_TABLE, []), (P_ABOVE_TABLE, [P_ABOVE_TABLE])])
+def test_exact_path_proves_each_prime_once(monkeypatch, cofactor, tested):
+    # trial division to sqrt(n) is a proof, so a cofactor below 65521^2 is not
+    # re-tested; above it Miller-Rabin runs once, and no split-prime record re-tests it
+    n = 7 * cofactor
+    calls = _counted_is_prime(monkeypatch)
+    for f in (factor_int, r_q, circle_points, factor_eisenstein,
+              lambda n: exp_sum(n, 12), lambda n: exp_sum_product(n, 12)):
+        factor._split_record.cache_clear()
+        calls.clear()
+        f(n)
+        assert calls == tested, f
+    assert factor_int(n) == {7: 1, cofactor: 1} and r_q(n) == 24
+
+
+def test_public_split_prime_calls_test_their_input_once(monkeypatch):
+    calls = _counted_is_prime(monkeypatch)
+    for p in (7, 7, P_ABOVE_TABLE, 2, 3):  # the second 7 is a memo hit, and still classified
+        for f in (split_prime_generator, prime_record):
+            if f is split_prime_generator and p % 3 != 1:
+                continue
+            calls.clear()
+            assert f(p).p == p
+            assert calls == [p], (f, p)
+
+
 @given(st.integers(min_value=2, max_value=10**6))
 @settings(max_examples=200)
 def test_factor_int_recomposes(n):
@@ -136,7 +188,7 @@ def test_split_prime_generator_large():
     assert rec.pi.norm() == p
     assert rec.pi == EisensteinInt(999999999, 2)
     assert split_prime_generator(p) == rec  # memoized, up to 1 << 12 primes
-    assert split_prime_generator.cache_info().maxsize == 1 << 12
+    assert factor._split_record.cache_info().maxsize == 1 << 12
 
 
 def test_cornacchia_reduction_on_every_split_prime_below_1e6():
@@ -153,7 +205,7 @@ def test_cornacchia_reduction_on_every_split_prime_below_1e6():
             want[p] = (pa, pb)
     assert len(want) == 39231
     for p, ab in want.items():
-        pi = split_prime_generator.__wrapped__(p).pi  # leaves the memo as it is
+        pi = factor._split_record.__wrapped__(p).pi  # leaves the memo as it is
         assert (pi.a, pi.b) == ab, p
 
 
