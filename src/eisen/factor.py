@@ -136,32 +136,53 @@ def _pollard_rho(n: int) -> int:
     raise RuntimeError(f"rho failed on {n}")
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization of a rational integer n >= 1.  Trial division
-    by the primes below 2^16 proves any cofactor below 65521^2 prime;
-    is_prime and _pollard_rho see only a cofactor left after the table."""
-    if n < 1:
-        raise ValueError("factor_int needs n >= 1")
-    out: dict[int, int] = {}
+# 65537, the first prime past the table, squared: a cofactor below it that
+# the whole table left has no prime factor up to its square root
+_PROVEN_BELOW = 65537**2
+
+
+def _prime_powers(n: int) -> Iterator[tuple[int, int]]:
+    """Yield (p, e) for each p^e || n, n >= 1, each prime once with its
+    whole exponent: the table primes as trial division finds them, in
+    increasing order, then the primes of the cofactor.  A caller that
+    stops early skips the rest, Miller-Rabin and rho included."""
     for p in _SMALL_PRIMES:
         if p * p > n:  # no prime below p divides n, so n > 1 is prime
-            if n > 1:
-                out[n] = 1
-            return out
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:  # a cofactor left after the whole table: Miller-Rabin, then rho
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _pollard_rho(m)
-            stack.append(d)
-            stack.append(m // d)
-    return out
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+    else:
+        if n >= _PROVEN_BELOW:  # a cofactor the table cannot prove: Miller-Rabin, then rho
+            rest: dict[int, int] = {}
+            stack = [n]
+            while stack:
+                m = stack.pop()
+                if is_prime(m):
+                    rest[m] = rest.get(m, 0) + 1
+                    continue
+                d = _pollard_rho(m)
+                stack.append(d)
+                stack.append(m // d)
+            yield from rest.items()
+            return
+    if n > 1:
+        yield n, 1
+
+
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization of a rational integer n >= 1.  Trial division
+    by the primes below 2^16 proves a cofactor prime once it passes the
+    cofactor's square root; after the whole table (65521 is its last
+    prime, 65537 the next) it proves any cofactor below 65537^2 =
+    4,295,098,369.  is_prime and _pollard_rho see only a cofactor at or
+    above that bound."""
+    if n < 1:
+        raise ValueError("factor_int needs n >= 1")
+    return dict(_prime_powers(n))
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +338,23 @@ def factor_eisenstein(n: int) -> EisFactorization:
 
 
 def r_q(n: int) -> int:
-    """Number of lattice points on |mu|^2 = n."""
+    """Number of lattice points on |mu|^2 = n, read off the factorization
+    as trial division runs: each split p^e multiplies the count by e + 1,
+    and the first inert q^e with e odd returns 0.
+
+    The stop is exact: _prime_powers yields each prime with its whole
+    exponent, so an odd exponent of q is final, and one zero factor makes
+    r_Q(n) = 0 whatever the primes not yet read.  It skips the rest of the
+    table and any cofactor's Miller-Rabin and rho, so n = 2m, with m a
+    semiprime past rho's step limit, gets 0 rather than a ValueError.
+    """
     if n < 1:
         raise ValueError("r_q needs n >= 1")
     count = 6
-    for p, e in factor_int(n).items():
-        if p == 3:
-            continue
+    for p, e in _prime_powers(n):
         if p % 3 == 1:
             count *= e + 1
-        elif e % 2 == 1:
+        elif p != 3 and e % 2 == 1:
             return 0
     return count
 

@@ -3,7 +3,8 @@ oracle for circle point sets, the unsorted prime-ideal angles with the
 KS statistic over their full sort, the sector count by numpy's
 searchsorted, the ideal-by-ideal character sum, the full-length table of
 populated circles, the checkpoint means over the
-circle_sums table, and two diagnostics of the averages over primes."""
+circle_sums table, r_Q over the whole factorization, and two
+diagnostics of the averages over primes."""
 
 import cmath
 import math
@@ -39,6 +40,18 @@ def circle_points_bruteforce(n: int) -> CirclePointSet:
                     pts.add(z)
     ordered = tuple(sorted(pts, key=lambda z: (z.arg(), z.a)))
     return CirclePointSet(n, ordered, len(ordered))
+
+
+def r_q_by_factor_int(n: int) -> int:
+    """r_Q(n) from the complete factor_int: 6 prod(e + 1) over the split
+    primes, 0 if an inert prime has an odd exponent."""
+    count = 6
+    for p, e in factor.factor_int(n).items():
+        if p % 3 == 1:
+            count *= e + 1
+        elif p != 3 and e % 2 == 1:
+            return 0
+    return count
 
 
 def ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:

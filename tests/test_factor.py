@@ -1,14 +1,16 @@
 """Prime splitting, factorization over Z[w], and circle point sets."""
 
 import hashlib
+import itertools
 import math
+import random
 import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import circle_points_bruteforce
+from bruteforce import circle_points_bruteforce, r_q_by_factor_int
 from eisen import cli, factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
 from eisen.expsum import circle_sums, exp_sum, exp_sum_product
@@ -74,6 +76,12 @@ def test_rho_stops_at_its_limit(monkeypatch):
     with pytest.raises(ValueError, match="limit of 100 steps"):
         factor_int(99991 * 99989)
     assert cli.run(["factor", str(99991 * 99989)]) == 2
+    # r_q stops at the odd power of 2 before rho runs; 2^2 is even, so rho must split the rest
+    assert r_q(2 * 99991 * 99989) == 0
+    assert cli.run(["rq", str(2 * 99991 * 99989)]) == 0
+    with pytest.raises(ValueError, match="limit of 100 steps"):
+        r_q(4 * 99991 * 99989)
+    assert cli.run(["rq", str(4 * 99991 * 99989)]) == 2
     monkeypatch.setattr(factor, "_RHO_STEPS", 525)
     assert factor_int(99991 * 99989) == {99989: 1, 99991: 1}
 
@@ -88,7 +96,8 @@ def test_factor_int_examples():
 
 
 def test_factor_int_past_the_trial_division_table():
-    # 65521 is the last table prime; a cofactor left after the table goes to
+    # 65521 is the last table prime and 65537 the next: a cofactor left after
+    # the table is prime below 65537^2, and from 65537^2 on it goes to
     # Miller-Rabin and rho, whether it is a prime or a square of one
     assert factor._SMALL_PRIMES[-1] == 65521
     assert factor_int(65521**2) == {65521: 2}
@@ -99,6 +108,7 @@ def test_factor_int_past_the_trial_division_table():
 
 P_BELOW_TABLE = 4293001429  # the largest prime below 65521^2 (split)
 P_ABOVE_TABLE = 4293001477  # the first split prime above 65521^2
+P_PAST_PROOF = 4295098477  # the first split prime above 65537^2
 
 
 def _counted_is_prime(monkeypatch):
@@ -113,9 +123,10 @@ def _counted_is_prime(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("cofactor, tested", [(P_BELOW_TABLE, []), (P_ABOVE_TABLE, [P_ABOVE_TABLE])])
+@pytest.mark.parametrize("cofactor, tested", [(P_BELOW_TABLE, []), (P_ABOVE_TABLE, []),
+                                              (P_PAST_PROOF, [P_PAST_PROOF])])
 def test_exact_path_proves_each_prime_once(monkeypatch, cofactor, tested):
-    # trial division to sqrt(n) is a proof, so a cofactor below 65521^2 is not
+    # trial division to sqrt(n) is a proof, so a cofactor below 65537^2 is not
     # re-tested; above it Miller-Rabin runs once, and no split-prime record re-tests it
     n = 7 * cofactor
     calls = _counted_is_prime(monkeypatch)
@@ -126,6 +137,38 @@ def test_exact_path_proves_each_prime_once(monkeypatch, cofactor, tested):
         f(n)
         assert calls == tested, f
     assert factor_int(n) == {7: 1, cofactor: 1} and r_q(n) == 24
+
+
+def test_r_q_stops_at_the_first_odd_inert_power(monkeypatch):
+    # the odd power of 2 ends r_q before the cofactor's Miller-Rabin; 2^2 does not
+    calls = _counted_is_prime(monkeypatch)
+    rho = []
+    real_rho = factor._pollard_rho
+    monkeypatch.setattr(factor, "_pollard_rho", lambda n: rho.append(n) or real_rho(n))
+    assert r_q(2 * P_PAST_PROOF) == 0
+    assert calls == [] and rho == []
+    assert r_q(4 * P_PAST_PROOF) == 12
+    assert calls == [P_PAST_PROOF] and rho == []
+
+
+# exponent patterns of the exact-queries benchmark's split-prime products
+PATTERNS = ((1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1), (3, 2, 1),
+            (2, 2, 2), (1, 1, 1, 1, 1), (2, 2, 1, 1), (2, 2, 2, 1), (3, 3, 1, 1), (2, 2, 2, 2),
+            (3, 3, 2, 1), (3, 3, 3, 1), (2, 2, 2, 2, 1), (3, 3, 3, 3), (3, 3, 3, 2, 1),
+            (2, 2, 2, 2, 2, 1))
+
+
+def test_r_q_equals_the_formula_over_factor_int():
+    rng = random.Random(30)
+    split = [p for p in factor._small_primes(600) if p % 3 == 1][:30]
+    products = []
+    for exps in PATTERNS * 20:  # as the benchmark draws them: a power of 3 or an inert square rides along
+        n = math.prod(p**e for p, e in zip(rng.sample(split, len(exps)), exps))
+        products.append(n * 3 ** rng.choice((0, 0, 1, 2)) * rng.choice((1, 1, 4, 25, 121)))
+    assert len(products) == 400
+    seeded = [rng.randint(1, 10**12) for _ in range(3000)]
+    for n in itertools.chain(range(1, 200001), seeded, products):
+        assert r_q(n) == r_q_by_factor_int(n), n
 
 
 def test_public_split_prime_calls_test_their_input_once(monkeypatch):
