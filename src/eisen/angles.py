@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
 
 PI_6 = math.pi / 6.0
 _KS_CHUNK = 1 << 16  # angles per step of the KS sweep
-_K_MAX = 6 << 16  # bad_circle's largest k: 6 * 2^16 points, so m <= 16
 _PRIME_MAX = 10**8  # bad_circle seeks its split primes p <= this
 
 
@@ -282,14 +281,15 @@ def bad_circle(epsilon: float, k: int) -> BadCircle:
     Take the smallest m with 6 * 2^m >= k and multiply the m smallest
     split primes whose angles lie in (0, epsilon/m]; each of the
     6 * 2^m points then has angle j*pi/3 + (sum of m signed angles),
-    off by at most m * (epsilon/m) = epsilon.  k is capped at 6 * 2^16,
-    and the primes are sought below 1e8 by _thin_split_primes, which walks
-    only the thin sector of angles <= epsilon/m.
+    off by at most m * (epsilon/m) = epsilon.  k is capped at the point
+    cap of every circle, factor._POINTS_MAX = 6 * 2^16, and the primes
+    are sought below 1e8 by _thin_split_primes, which walks only the
+    thin sector of angles <= epsilon/m.
     """
     if not (0 < epsilon < PI_6):
         raise ValueError("epsilon must lie in (0, pi/6)")
-    if not (1 <= k <= _K_MAX):
-        raise ValueError(f"k must lie in 1..{_K_MAX}")
+    if not (1 <= k <= factor._POINTS_MAX):
+        raise ValueError(f"k must lie in 1..{factor._POINTS_MAX}")
     m = 0
     while 6 * (1 << m) < k:
         m += 1

@@ -38,6 +38,7 @@ PI_6 = math.pi / 6.0
 
 # exponent ceiling for the survey power law N^{-gamma}
 GAMMA_MAX = math.log(math.pi) / math.log(2.0) - 1.0
+_ARCS_MAX = 10**6  # discrepancy_random_lower_bound's largest arcs: 16 MB of arc ends
 
 
 class DiscrepancyResult(NamedTuple):
@@ -57,14 +58,6 @@ def _g_limits(turns: np.ndarray, rank: np.ndarray, total) -> tuple[np.ndarray, n
     return rank / total - turns, (rank - 1) / total - turns
 
 
-def _sector_args(n: int) -> list[tuple[float, int, int]]:
-    """(arg, a, b) of the m = N/6 sector points of |mu|^2 = n, sorted by arg."""
-    pts = sorted((_arg(a, b), a, b) for a, b in factor._sector_points(n))
-    if not pts:
-        raise ValueError(f"no lattice points on |mu|^2 = {n}")
-    return pts
-
-
 def discrepancy_exact(n: int) -> DiscrepancyResult:
     """Exact Delta(n) over all arcs, with a witness arc, in O(m log m)
     over the m = N/6 sector points.
@@ -79,7 +72,9 @@ def discrepancy_exact(n: int) -> DiscrepancyResult:
     (N = 6) both are the same point: Delta(1) = 1/6 is attained by
     arbitrarily short arcs around it.
     """
-    pts = _sector_args(n)
+    pts = factor._sector_args(n)
+    if not pts:
+        raise ValueError(f"no lattice points on |mu|^2 = {n}")
     m = len(pts)
     # turns from the -pi/6 ray, the angles clamped there as factor.sector_angles clamps
     turns = (np.maximum([t for t, _, _ in pts], -PI_6) + PI_6) / TWO_PI
@@ -98,8 +93,8 @@ def discrepancy_random_lower_bound(n: int, arcs: int = 10000, seed: int = 0) -> 
     Useful as a sanity probe: it can only approach the exact sweep from
     below since it samples a finite subset of arcs.
     """
-    if arcs < 1:
-        raise ValueError("arcs >= 1")
+    if not 1 <= arcs <= _ARCS_MAX:
+        raise ValueError("arcs >= 1" if arcs < 1 else f"arcs <= {_ARCS_MAX}, got {arcs}")
     args = factor._circle_args(n)
     if not args:
         raise ValueError(f"no lattice points on |mu|^2 = {n}")
@@ -130,7 +125,10 @@ def erdos_turan_bound(n: int, T: int, C: float = 4.0) -> float:
         raise ValueError("T >= 1")
     if C <= 0:
         raise ValueError("C > 0")
-    phis = np.array([t for t, _, _ in _sector_args(n)])
+    pts = factor._sector_args(n)
+    if not pts:
+        raise ValueError(f"no lattice points on |mu|^2 = {n}")
+    phis = np.array([t for t, _, _ in pts])
     total = 1.0 / T
     for k in range(6, T + 1, 6):
         total += abs(np.exp(1j * k * phis).mean()) / k

@@ -22,7 +22,6 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import factor
-from .factor import factor_int
 
 if TYPE_CHECKING:  # numpy is imported by the functions that build arrays
     import numpy as np
@@ -48,11 +47,6 @@ def exp_sum(n: int, A: int) -> ExpSumValue:
     return ExpSumValue(n, A, complex(value))
 
 
-def _split_factor_signed(theta: float, e: int, a: int) -> float:
-    # sum_{j=0..e} e^{i 6a (2j-e) theta}; the terms pair into cosines
-    return math.fsum(math.cos(6.0 * a * (2 * j - e) * theta) for j in range(e + 1))
-
-
 def exp_sum_product(n: int, A: int) -> complex:
     """S(n, A) by the factorization product; exact 0 when 6 does not
     divide A, and a real number otherwise."""
@@ -62,18 +56,15 @@ def exp_sum_product(n: int, A: int) -> complex:
         raise ValueError("n >= 1 required")
     if A % 6 != 0:
         return 0j
+    factors = factor._circle_factors(n)
+    if factors is None:
+        return 0j
     a = A // 6
-    value = 6.0
-    for p, e in factor_int(n).items():
-        if p == 3:
-            if (a * e) % 2 == 1:
-                value = -value
-            continue
-        if p % 3 == 2:
-            if e % 2 == 1:
-                return 0j
-            continue
-        value *= _split_factor_signed(factor._split_record(p).theta_p, e, a)
+    v3, _, split = factors
+    value = -6.0 if (a * v3) % 2 == 1 else 6.0
+    for p, e in split:  # sum_{j=0..e} e^{i 6a (2j-e) theta_p}; the terms pair into cosines
+        theta = factor._split_record(p).theta_p
+        value *= math.fsum(math.cos(6.0 * a * (2 * j - e) * theta) for j in range(e + 1))
     return complex(value)
 
 

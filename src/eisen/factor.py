@@ -185,6 +185,25 @@ def factor_int(n: int) -> dict[int, int]:
     return dict(_prime_powers(n))
 
 
+def _circle_factors(n: int) -> tuple[int, int, list[tuple[int, int]]] | None:
+    """(v3, s, split) with n = 3^v3 * s^2 * prod p^e over the split (p, e),
+    p = 1 (mod 3), in _prime_powers' order; s^2 is the inert part.  None
+    at the first inert q^e with e odd, where r_Q(n) = 0: e is whole, so
+    the stop is exact, and it skips the rest of the table and any
+    cofactor's Miller-Rabin and rho."""
+    v3, s, split = 0, 1, []
+    for p, e in _prime_powers(n):
+        if p % 3 == 1:
+            split.append((p, e))
+        elif p == 3:
+            v3 = e
+        elif e % 2 == 1:
+            return None
+        else:
+            s *= p ** (e // 2)
+    return v3, s, split
+
+
 # ---------------------------------------------------------------------------
 # splitting behavior
 
@@ -230,8 +249,9 @@ def split_prime_generator(p: int) -> PrimeSplitRecord:
     """Record for split p: the generator pi = a + b*w with a > b >= 1, the
     one element of norm p with theta_p in the open sector (0, pi/6).
     p is classified (and so tested for primality) here, then the record
-    comes from _split_record, which the factorization paths call directly
-    with the primes factor_int has already proven."""
+    comes from _split_record, which factor_eisenstein, _sector_points and
+    expsum.exp_sum_product call directly with the split primes that
+    _prime_powers has already proven."""
     if classify_prime(p) is not PrimeClass.SPLIT:
         raise ValueError(f"{p} is not split (p mod 3 = {p % 3})")
     return _split_record(p)
@@ -303,9 +323,7 @@ class EisFactorization(NamedTuple):
 
     def recompose(self) -> EisensteinInt:
         z = UNITS[self.unit_power] * PI3**self.alpha3
-        for rec, e1, e2 in self.split_factors:
-            if rec.pi is None:
-                raise RuntimeError(f"split prime {rec.p} has no generator")
+        for rec, e1, e2 in self.split_factors:  # split records always carry pi
             z = z * rec.pi**e1 * eis_conj(rec.pi) ** e2
         for q, e in self.inert_factors:
             z = z * EisensteinInt(q, 0) ** e
@@ -338,25 +356,13 @@ def factor_eisenstein(n: int) -> EisFactorization:
 
 
 def r_q(n: int) -> int:
-    """Number of lattice points on |mu|^2 = n, read off the factorization
-    as trial division runs: each split p^e multiplies the count by e + 1,
-    and the first inert q^e with e odd returns 0.
-
-    The stop is exact: _prime_powers yields each prime with its whole
-    exponent, so an odd exponent of q is final, and one zero factor makes
-    r_Q(n) = 0 whatever the primes not yet read.  It skips the rest of the
-    table and any cofactor's Miller-Rabin and rho, so n = 2m, with m a
-    semiprime past rho's step limit, gets 0 rather than a ValueError.
-    """
+    """Number of lattice points on |mu|^2 = n: 6 * prod(e + 1) over the
+    split p^e || n, or 0 at the stop of _circle_factors, so n = 2m with m
+    a semiprime past rho's step limit gets 0 rather than a ValueError."""
     if n < 1:
         raise ValueError("r_q needs n >= 1")
-    count = 6
-    for p, e in _prime_powers(n):
-        if p % 3 == 1:
-            count *= e + 1
-        elif p != 3 and e % 2 == 1:
-            return 0
-    return count
+    factors = _circle_factors(n)
+    return 0 if factors is None else 6 * math.prod(e + 1 for _, e in factors[2])
 
 
 # ---------------------------------------------------------------------------
@@ -369,39 +375,37 @@ class CirclePointSet(NamedTuple):
     count: int
 
 
+# the one cap on points per circle, bad_circle's k included: 16 distinct split
+# primes; time and memory grow 4-fold with every two more
+_POINTS_MAX = 6 << 16
+
+
 def _sector_points(n: int) -> list[tuple[int, int]]:
     """The m = r_Q(n)/6 points of |mu|^2 = n in the fundamental sector
     [-pi/6, pi/6) as pairs (a, b), one per associate class; [] when
-    r_Q(n) = 0.
+    r_Q(n) = 0, and ValueError before any point is built when r_Q(n)
+    passes _POINTS_MAX.
 
-    Fix pi_3^(v_3(n)) times the inert part q^(e/2); for each split p^e
-    choose pi_p^j * conj(pi_p)^(e-j), j = 0..e; multiply out the choices
-    on (a, b) pairs and turn each product by powers of w into the sector,
+    Start from pi_3^v3 * s of _circle_factors; for each split p^e choose
+    pi_p^j * conj(pi_p)^(e-j), j = 0..e; multiply out the choices on
+    (a, b) pairs and turn each product by powers of w into the sector,
     tested exactly as in_fundamental_sector tests.  The m classes must
     be distinct.
     """
     if n < 1:
         raise ValueError("circle_points needs n >= 1")
-    rational = factor_int(n)
-    base = PI3 ** rational.get(3, 0)
-    choices: list[list[tuple[int, int]]] = []
-    expected = 1
-    for p in sorted(rational):
-        e = rational[p]
-        if p == 3:
-            continue
-        if p % 3 == 1:
-            pi = _split_record(p).pi
-            if pi is None:
-                raise RuntimeError(f"split prime {p} has no generator")
-            expected *= e + 1
-            choices.append([(z.a, z.b) for z in (pi**j * eis_conj(pi) ** (e - j) for j in range(e + 1))])
-        else:
-            if e % 2 == 1:
-                return []
-            base = base * EisensteinInt(p, 0) ** (e // 2)
+    factors = _circle_factors(n)
+    if factors is None:
+        return []
+    v3, s, split = factors
+    expected = math.prod(e + 1 for _, e in split)
+    if 6 * expected > _POINTS_MAX:
+        raise ValueError(f"|mu|^2 = {n} has {6 * expected} lattice points, past the cap of {_POINTS_MAX}")
+    base = PI3**v3 * EisensteinInt(s, 0)
     partials = [(base.a, base.b)]
-    for opts in choices:  # the product of EisensteinInt, on pairs
+    for p, e in split:  # the product of EisensteinInt, on pairs
+        pi = _split_record(p).pi
+        opts = [(z.a, z.b) for z in (pi**j * eis_conj(pi) ** (e - j) for j in range(e + 1))]
         partials = [(a * c - b * d, a * d + b * c + b * d) for a, b in partials for c, d in opts]
     sector = []
     for a, b in partials:
@@ -415,11 +419,16 @@ def _sector_points(n: int) -> list[tuple[int, int]]:
     return sector
 
 
+def _sector_args(n: int) -> list[tuple[float, int, int]]:
+    """(arg, a, b) of the sector points of _sector_points(n), sorted by arg."""
+    return sorted((_arg(a, b), a, b) for a, b in _sector_points(n))
+
+
 def _circle_args(n: int) -> list[tuple[float, int, int]]:
     """(arg, a, b) for every point of |mu|^2 = n, sorted, each arg as
     EisensteinInt.arg gives it.  The sector points in angle order, then
     the same order times w, w^2, ..., w^5: the sort merges six runs."""
-    out = sorted((_arg(a, b), a, b) for a, b in _sector_points(n))
+    out = _sector_args(n)
     pts = [(a, b) for _, a, b in out]
     for _ in range(5):
         pts = [(-b, a + b) for a, b in pts]  # times w

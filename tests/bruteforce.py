@@ -3,8 +3,8 @@ oracle for circle point sets, the unsorted prime-ideal angles with the
 KS statistic over their full sort, the sector count by numpy's
 searchsorted, the ideal-by-ideal character sum, the full-length table of
 populated circles, the checkpoint means over the
-circle_sums table, r_Q over the whole factorization, and two
-diagnostics of the averages over primes."""
+circle_sums table, r_Q and S(n, 6a) over the whole factorization, and
+two diagnostics of the averages over primes."""
 
 import cmath
 import math
@@ -52,6 +52,25 @@ def r_q_by_factor_int(n: int) -> int:
         elif p != 3 and e % 2 == 1:
             return 0
     return count
+
+
+def exp_sum_product_by_factor_int(n: int, A: int) -> complex:
+    """S(n, A) for 6 | A as the product over the complete factor_int, in
+    its order: the sign (-1)^(a e) at 3^e, 0 at an odd inert power, and
+    sum_{j=0..e} cos(6a (2j - e) theta_p) for each split p^e."""
+    a = A // 6
+    value = 6.0
+    for p, e in factor.factor_int(n).items():
+        if p == 3:
+            if (a * e) % 2 == 1:
+                value = -value
+        elif p % 3 == 2:
+            if e % 2 == 1:
+                return 0j
+        else:
+            theta = factor.split_prime_generator(p).theta_p
+            value *= math.fsum(math.cos(6.0 * a * (2 * j - e) * theta) for j in range(e + 1))
+    return complex(value)
 
 
 def ideal_angles(x: float) -> tuple[np.ndarray, np.ndarray]:

@@ -353,7 +353,7 @@ def _no_tables(monkeypatch):
 
 def test_bad_circle_rejects_a_huge_k_before_building(monkeypatch):
     _no_tables(monkeypatch)
-    for k in (angles._K_MAX + 1, 10**11):
+    for k in (factor._POINTS_MAX + 1, 10**11):
         with pytest.raises(ValueError, match="k must lie"):
             bad_circle(0.1, k)
 
@@ -362,7 +362,7 @@ def test_bad_circle_rejects_an_angle_no_prime_reaches(monkeypatch):
     # no split prime below 1e8 has an angle under 8.6607e-5 (p = 99990001),
     # and only 15 have one under 8.74e-5 (m = 16 needs 16)
     _no_tables(monkeypatch)
-    for eps, k in ((1e-9, 12), (1e-4, 48), (8.66e-5, 12), (16 * 8.74e-5, angles._K_MAX)):
+    for eps, k in ((1e-9, 12), (1e-4, 48), (8.66e-5, 12), (16 * 8.74e-5, factor._POINTS_MAX)):
         with pytest.raises(ValueError, match="no split prime"):
             bad_circle(eps, k)
 

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from datetime import timedelta
 
@@ -259,6 +260,19 @@ def test_random_arcs_below_1_exit_2(capsys):
         assert run(["discrepancy", "91", "--random-arcs", arcs]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == "", arcs
+
+
+def test_random_arcs_past_the_cap_exit_2(capsys):
+    # 2 * 10^6 arcs would allocate 32 MB of arc ends; the cap rejects them first
+    tracemalloc.start()
+    try:
+        code = run(["discrepancy", "7", "--random-arcs", "2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err == "error: arcs <= 1000000, got 2000000\n"
+    assert peak < 2**20
 
 
 def test_threads_below_1_exit_2_on_every_command(capsys, monkeypatch):

@@ -140,8 +140,10 @@ def test_random_arcs_seeded():
     a = discrepancy_random_lower_bound(91, arcs=1000, seed=7)
     b = discrepancy_random_lower_bound(91, arcs=1000, seed=7)
     assert a == b
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="arcs >= 1"):
         discrepancy_random_lower_bound(91, arcs=0)
+    with pytest.raises(ValueError, match="arcs <= 1000000"):
+        discrepancy_random_lower_bound(91, arcs=10**6 + 1)
 
 
 def test_bad_circle_discrepancy_frozen():

@@ -5,12 +5,13 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import circle_points_bruteforce, r_q_by_factor_int
+from bruteforce import circle_points_bruteforce, exp_sum_product_by_factor_int, r_q_by_factor_int
 from eisen import cli, factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
 from eisen.expsum import circle_sums, exp_sum, exp_sum_product
@@ -69,19 +70,29 @@ def test_primes_up_to():
         primes_up_to((1 << 32) + 1)
 
 
-def test_rho_stops_at_its_limit(monkeypatch):
+def test_rho_stops_at_its_limit(monkeypatch, capsys):
     # 99991 * 99989 splits in 525 Floyd steps; with 100 allowed over every c
     # it is rejected, naming the limit, and the CLI exits 2
     monkeypatch.setattr(factor, "_RHO_STEPS", 100)
     with pytest.raises(ValueError, match="limit of 100 steps"):
         factor_int(99991 * 99989)
     assert cli.run(["factor", str(99991 * 99989)]) == 2
-    # r_q stops at the odd power of 2 before rho runs; 2^2 is even, so rho must split the rest
+    # every circle reader stops at the odd power of 2 before rho runs: no
+    # points and S = 0; 2^2 is even, so rho must split the rest
     assert r_q(2 * 99991 * 99989) == 0
-    assert cli.run(["rq", str(2 * 99991 * 99989)]) == 0
+    capsys.readouterr()
+    zero = str(2 * 99991 * 99989)
+    for argv, code, out, err in ((["rq", zero], 0, '"result": 0}', ""), (["points", zero], 0, "", ""),
+                                 (["expsum", zero, "6"], 0, '"re": 0.0, "im": 0.0', ""),
+                                 (["discrepancy", zero], 2, "", "no lattice points")):
+        assert cli.run(argv) == code, argv
+        captured = capsys.readouterr()
+        assert out in captured.out and err in captured.err and bool(captured.out) == bool(out), (argv, captured)
+    for argv in (["rq"], ["points"], ["expsum", "6"], ["discrepancy"]):
+        assert cli.run([argv[0], str(4 * 99991 * 99989), *argv[1:]]) == 2, argv
+        assert "limit of 100 steps" in capsys.readouterr().err, argv
     with pytest.raises(ValueError, match="limit of 100 steps"):
         r_q(4 * 99991 * 99989)
-    assert cli.run(["rq", str(4 * 99991 * 99989)]) == 2
     monkeypatch.setattr(factor, "_RHO_STEPS", 525)
     assert factor_int(99991 * 99989) == {99989: 1, 99991: 1}
 
@@ -147,6 +158,10 @@ def test_r_q_stops_at_the_first_odd_inert_power(monkeypatch):
     monkeypatch.setattr(factor, "_pollard_rho", lambda n: rho.append(n) or real_rho(n))
     assert r_q(2 * P_PAST_PROOF) == 0
     assert calls == [] and rho == []
+    # so do the point set and both forms of S(n, A): no points, S = 0
+    assert circle_points(2 * P_PAST_PROOF).count == 0
+    assert exp_sum(2 * P_PAST_PROOF, 12).value == 0 and exp_sum_product(2 * P_PAST_PROOF, 12) == 0
+    assert calls == [] and rho == []
     assert r_q(4 * P_PAST_PROOF) == 12
     assert calls == [P_PAST_PROOF] and rho == []
 
@@ -158,17 +173,60 @@ PATTERNS = ((1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1
             (2, 2, 2, 2, 2, 1))
 
 
-def test_r_q_equals_the_formula_over_factor_int():
+def _seeded_circles() -> list[int]:
+    """400 split-prime products, as the benchmark draws them (a power of 3
+    or an inert square rides along), then 3000 seeded n <= 1e12."""
     rng = random.Random(30)
     split = [p for p in factor._small_primes(600) if p % 3 == 1][:30]
     products = []
-    for exps in PATTERNS * 20:  # as the benchmark draws them: a power of 3 or an inert square rides along
+    for exps in PATTERNS * 20:
         n = math.prod(p**e for p, e in zip(rng.sample(split, len(exps)), exps))
         products.append(n * 3 ** rng.choice((0, 0, 1, 2)) * rng.choice((1, 1, 4, 25, 121)))
     assert len(products) == 400
-    seeded = [rng.randint(1, 10**12) for _ in range(3000)]
-    for n in itertools.chain(range(1, 200001), seeded, products):
+    return products + [rng.randint(1, 10**12) for _ in range(3000)]
+
+
+def test_r_q_equals_the_formula_over_factor_int():
+    for n in itertools.chain(range(1, 200001), _seeded_circles()):
         assert r_q(n) == r_q_by_factor_int(n), n
+
+
+def test_exp_sum_product_keeps_the_bits_of_the_product_over_factor_int():
+    # the split factors multiply in factor_int's order, so each float keeps its bits
+    def bits(z):
+        return z.real.hex(), z.imag.hex()
+
+    for A in (6, 12, 18):
+        for n in _seeded_circles():
+            assert bits(exp_sum_product(n, A)) == bits(exp_sum_product_by_factor_int(n, A)), (n, A)
+
+
+FIRST_SPLIT = [p for p in factor._small_primes(400) if p % 3 == 1]
+
+
+def test_circle_points_past_the_cap_exit_2_before_building(capsys):
+    # the first 24 split primes give 6 * 2^24 points, 2^8 times the cap:
+    # rejected with the count from the factorization, before any point is built
+    n = math.prod(FIRST_SPLIT[:24])
+    assert n == 11184366733504805148306673320640559702684763853 and r_q(n) == 100663296
+    for argv in (["points", str(n)], ["expsum", str(n), "6"], ["discrepancy", str(n)]):
+        t0 = time.perf_counter()
+        tracemalloc.start()
+        try:
+            code = cli.run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and time.perf_counter() - t0 < 1.0, argv
+        assert peak < 2**20, (argv, peak)
+        captured = capsys.readouterr()
+        assert "100663296 lattice points" in captured.err and captured.out == "", argv
+
+
+def test_circle_points_at_the_cap_answer():
+    n = math.prod(FIRST_SPLIT[:16])
+    assert r_q(n) == factor._POINTS_MAX == 6 << 16
+    assert len(factor._sector_points(n)) == 1 << 16
 
 
 def test_public_split_prime_calls_test_their_input_once(monkeypatch):
