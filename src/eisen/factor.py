@@ -187,10 +187,18 @@ def factor_int(n: int) -> dict[int, int]:
 
 def _circle_factors(n: int) -> tuple[int, int, list[tuple[int, int]]] | None:
     """(v3, s, split) with n = 3^v3 * s^2 * prod p^e over the split (p, e),
-    p = 1 (mod 3), in _prime_powers' order; s^2 is the inert part.  None
-    at the first inert q^e with e odd, where r_Q(n) = 0: e is whole, so
-    the stop is exact, and it skips the rest of the table and any
-    cofactor's Miller-Rabin and rho."""
+    p = 1 (mod 3), in _prime_powers' order; s^2 is the inert part, n >= 1.
+    None where r_Q(n) = 0, by two stops.  First the residue stop, before
+    any division: with n = 3^v * m, each prime of m is split (= 1 mod 3)
+    or inert (= -1 mod 3), so m = (-1)^(sum of the inert exponents) mod 3,
+    and m = 2 means some inert exponent is odd.  Then the first inert q^e
+    with e odd: e is whole, so the stop is exact, and it skips the rest of
+    the table and any cofactor's Miller-Rabin and rho."""
+    m = n
+    while m % 3 == 0:
+        m //= 3
+    if m % 3 == 2:
+        return None
     v3, s, split = 0, 1, []
     for p, e in _prime_powers(n):
         if p % 3 == 1:
@@ -357,8 +365,11 @@ def factor_eisenstein(n: int) -> EisFactorization:
 
 def r_q(n: int) -> int:
     """Number of lattice points on |mu|^2 = n: 6 * prod(e + 1) over the
-    split p^e || n, or 0 at the stop of _circle_factors, so n = 2m with m
-    a semiprime past rho's step limit gets 0 rather than a ValueError."""
+    split p^e || n, or 0 at a stop of _circle_factors.  The residue stop
+    needs no division: n = 3^v * m with m = 2 (mod 3) has an inert prime
+    to an odd power, since m = (-1)^(sum of the inert exponents) mod 3.
+    So (10^19+51)(3*10^19+41), = 2 mod 3 and past rho's step limit, gets
+    0 rather than a ValueError."""
     if n < 1:
         raise ValueError("r_q needs n >= 1")
     factors = _circle_factors(n)
@@ -429,6 +440,8 @@ def _circle_args(n: int) -> list[tuple[float, int, int]]:
     EisensteinInt.arg gives it.  The sector points in angle order, then
     the same order times w, w^2, ..., w^5: the sort merges six runs."""
     out = _sector_args(n)
+    if not out:
+        return out
     pts = [(a, b) for _, a, b in out]
     for _ in range(5):
         pts = [(-b, a + b) for a, b in pts]  # times w

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bruteforce import circle_points_bruteforce, exp_sum_product_by_factor_int, r_q_by_factor_int
 from eisen import cli, factor
 from eisen.core import UNITS, EisensteinInt, eis_conj, in_fundamental_sector
+from eisen.discrepancy import discrepancy_exact, erdos_turan_bound
 from eisen.expsum import circle_sums, exp_sum, exp_sum_product
 from eisen.factor import (
     PI3,
@@ -77,22 +78,25 @@ def test_rho_stops_at_its_limit(monkeypatch, capsys):
     with pytest.raises(ValueError, match="limit of 100 steps"):
         factor_int(99991 * 99989)
     assert cli.run(["factor", str(99991 * 99989)]) == 2
-    # every circle reader stops at the odd power of 2 before rho runs: no
-    # points and S = 0; 2^2 is even, so rho must split the rest
-    assert r_q(2 * 99991 * 99989) == 0
+    # every circle reader stops before rho runs: no points and S = 0.  Twice
+    # it is = 1 (mod 3) and stops at the odd power of 2; four times it is
+    # = 2 (mod 3) and stops at the residue, before any division
+    assert r_q(2 * 99991 * 99989) == 0 and r_q(4 * 99991 * 99989) == 0
     capsys.readouterr()
-    zero = str(2 * 99991 * 99989)
-    for argv, code, out, err in ((["rq", zero], 0, '"result": 0}', ""), (["points", zero], 0, "", ""),
-                                 (["expsum", zero, "6"], 0, '"re": 0.0, "im": 0.0', ""),
-                                 (["discrepancy", zero], 2, "", "no lattice points")):
-        assert cli.run(argv) == code, argv
-        captured = capsys.readouterr()
-        assert out in captured.out and err in captured.err and bool(captured.out) == bool(out), (argv, captured)
+    for zero in (str(2 * 99991 * 99989), str(4 * 99991 * 99989)):
+        for argv, code, out, err in ((["rq", zero], 0, '"result": 0}', ""), (["points", zero], 0, "", ""),
+                                     (["expsum", zero, "6"], 0, '"re": 0.0, "im": 0.0', ""),
+                                     (["discrepancy", zero], 2, "", "no lattice points")):
+            assert cli.run(argv) == code, argv
+            captured = capsys.readouterr()
+            assert out in captured.out and err in captured.err and bool(captured.out) == bool(out), (argv, captured)
+    # 99991 and 100003 are split, so 4 * 99991 * 100003 = 1 (mod 3) has no stop,
+    # and rho, which needs 518 steps on 99991 * 100003, must split it
     for argv in (["rq"], ["points"], ["expsum", "6"], ["discrepancy"]):
-        assert cli.run([argv[0], str(4 * 99991 * 99989), *argv[1:]]) == 2, argv
+        assert cli.run([argv[0], str(4 * 99991 * 100003), *argv[1:]]) == 2, argv
         assert "limit of 100 steps" in capsys.readouterr().err, argv
     with pytest.raises(ValueError, match="limit of 100 steps"):
-        r_q(4 * 99991 * 99989)
+        r_q(4 * 99991 * 100003)
     monkeypatch.setattr(factor, "_RHO_STEPS", 525)
     assert factor_int(99991 * 99989) == {99989: 1, 99991: 1}
 
@@ -151,12 +155,13 @@ def test_exact_path_proves_each_prime_once(monkeypatch, cofactor, tested):
 
 
 def test_r_q_stops_at_the_first_odd_inert_power(monkeypatch):
-    # the odd power of 2 ends r_q before the cofactor's Miller-Rabin; 2^2 does not
+    # the odd power of 2 ends r_q before the cofactor's Miller-Rabin; 2^2 does not.
+    # 2 * P_PAST_PROOF = 2 (mod 3) stops at its residue; 10 * P_PAST_PROOF = 1 stops at the 2
     calls = _counted_is_prime(monkeypatch)
     rho = []
     real_rho = factor._pollard_rho
     monkeypatch.setattr(factor, "_pollard_rho", lambda n: rho.append(n) or real_rho(n))
-    assert r_q(2 * P_PAST_PROOF) == 0
+    assert r_q(2 * P_PAST_PROOF) == 0 and r_q(10 * P_PAST_PROOF) == 0
     assert calls == [] and rho == []
     # so do the point set and both forms of S(n, A): no points, S = 0
     assert circle_points(2 * P_PAST_PROOF).count == 0
@@ -164,6 +169,37 @@ def test_r_q_stops_at_the_first_odd_inert_power(monkeypatch):
     assert calls == [] and rho == []
     assert r_q(4 * P_PAST_PROOF) == 12
     assert calls == [P_PAST_PROOF] and rho == []
+
+
+RHO_LIMIT_N = 300000000000000001940000000000000002091  # (10^19+51)(3*10^19+41), past rho's limit
+
+
+def test_residue_stop_needs_no_trial_division(monkeypatch, capsys):
+    # n = 3^v * m with m = 2 (mod 3) has an inert prime to an odd power: every
+    # circle reader answers r_Q = 0 without a call to _prime_powers
+    yielded = []
+    real = factor._prime_powers
+
+    def counted(n):
+        yielded.append([])
+        for pe in real(n):
+            yielded[-1].append(pe)
+            yield pe
+
+    monkeypatch.setattr(factor, "_prime_powers", counted)
+    for n in (5, 2 * P_PAST_PROOF, 27 * 2 * P_PAST_PROOF, RHO_LIMIT_N):
+        assert r_q(n) == 0 and circle_points(n).count == 0, n
+        assert exp_sum(n, 12).value == 0 and exp_sum_product(n, 12) == 0, n
+        for reader in (discrepancy_exact, lambda n: erdos_turan_bound(n, 12)):
+            with pytest.raises(ValueError, match="no lattice points"):
+                reader(n)
+        assert yielded == [], n
+    # 10 = 2 * 5 = 1 (mod 3) passes the residue; the walk stops at its odd power of 2
+    assert r_q(10) == 0 and yielded == [[(2, 1)]]
+    t0 = time.perf_counter()
+    assert cli.run(["rq", str(RHO_LIMIT_N)]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert '"result": 0}' in capsys.readouterr().out
 
 
 # exponent patterns of the exact-queries benchmark's split-prime products
